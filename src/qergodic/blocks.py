@@ -3,7 +3,11 @@
 An algebra is a list of block dimensions (n_1, ..., n_N).  Everything --
 elements, linear functionals, linear maps -- is stored against one canonical
 coordinate basis: the blocks of an element concatenated in row-major order,
-so the coordinate space has dimension D = sum(n_i**2).  Tensor products of
+so the coordinate space has dimension D = sum(n_i**2).  An element is one
+read-only coordinate vector.  Blocks of equal size form a size class, whose
+(m, n, n) index array stacks its m blocks out of the coordinates: sums and
+the adjoint act on the vector, while products, norms and spectra make one
+batched matmul, SVD or eigendecomposition per size class.  Tensor products of
 two such algebras are again of this form (Kronecker blocks in lexicographic
 order); :class:`TensorSplit` holds the bookkeeping between the canonical
 coordinates of the product and the Kronecker order of the factors.
@@ -28,9 +32,13 @@ class DomainError(ValueError):
 
 
 class BlockStructure:
-    """Ordered list of matrix-block dimensions, immutable after construction."""
+    """Ordered list of matrix-block dimensions, immutable after construction.
 
-    __slots__ = ("dims", "offsets", "dim", "_mult_table", "_star_perm")
+    ``size_classes`` holds ``(n, ids, idx)`` for each distinct block size n:
+    the ids of its m blocks and their (m, n, n) coordinate indices.
+    """
+
+    __slots__ = ("dims", "offsets", "dim", "size_classes", "star_perm", "_mult_table")
 
     def __init__(self, dims):
         dims = tuple(int(n) for n in dims)
@@ -44,8 +52,18 @@ class BlockStructure:
             offsets.append(offsets[-1] + n * n)
         self.offsets = tuple(offsets)
         self.dim = offsets[-1]
+        classes = []
+        for n in sorted(set(dims)):
+            ids = np.flatnonzero(np.array(dims) == n)
+            idx = np.array(offsets)[ids, None, None] + np.arange(n * n).reshape(n, n)
+            classes.append((n, ids, idx))
+        self.size_classes = tuple(classes)
+        # coords(a*) = conj(coords(a))[star_perm]: transpose every block
+        perm = np.arange(self.dim)
+        for _, _, idx in classes:
+            perm[idx] = idx.transpose(0, 2, 1)
+        self.star_perm = perm
         self._mult_table = None
-        self._star_perm = None
 
     def __eq__(self, other):
         return isinstance(other, BlockStructure) and self.dims == other.dims
@@ -74,10 +92,13 @@ class BlockStructure:
         return AlgebraElement(self, blocks)
 
     def from_coords(self, coords):
-        return AlgebraElement(self, self.split(coords))
+        coords = np.array(coords, dtype=complex)
+        if coords.shape != (self.dim,):
+            raise ShapeError(f"expected {self.dim} coordinates, got {coords.shape}")
+        return AlgebraElement._own(self, coords)
 
     def zero(self):
-        return self.element([np.zeros((n, n), dtype=complex) for n in self.dims])
+        return AlgebraElement._own(self, np.zeros(self.dim, dtype=complex))
 
     def unit(self):
         return self.element([np.eye(n, dtype=complex) for n in self.dims])
@@ -91,58 +112,50 @@ class BlockStructure:
         return [self.basis_element(k) for k in range(self.dim)]
 
     @property
-    def star_perm(self):
-        """Permutation p with coords(a*) = conj(coords(a))[p]."""
-        if self._star_perm is None:
-            perm = np.empty(self.dim, dtype=np.intp)
-            for i, n in enumerate(self.dims):
-                for r in range(n):
-                    for c in range(n):
-                        perm[self.index(i, r, c)] = self.index(i, c, r)
-            self._star_perm = perm
-        return self._star_perm
-
-    @property
     def mult_table(self):
         """Dense structure constants C[s, t, :] = coords(e_s * e_t)."""
         if self._mult_table is None:
-            D = self.dim
-            table = np.zeros((D, D, D), dtype=complex)
-            for i, n in enumerate(self.dims):
-                for r in range(n):
-                    for c in range(n):
-                        s = self.index(i, r, c)
-                        for c2 in range(n):
-                            # E_{r,c} E_{c,c2} = E_{r,c2}; cross-block products vanish
-                            table[s, self.index(i, c, c2), self.index(i, r, c2)] = 1.0
+            table = np.zeros((self.dim,) * 3, dtype=complex)
+            for _, _, idx in self.size_classes:
+                # E_{r,c} E_{c,c2} = E_{r,c2}; cross-block products vanish
+                table[idx[:, :, :, None], idx[:, None, :, :], idx[:, :, None, :]] = 1.0
             self._mult_table = table
         return self._mult_table
 
 
 class AlgebraElement:
-    """Member of a direct sum of matrix blocks."""
+    """Member of a direct sum of matrix blocks, stored as its read-only coordinate vector."""
 
-    __slots__ = ("structure", "blocks", "_coords")
+    __slots__ = ("structure", "_coords")
 
     def __init__(self, structure, blocks):
         if len(blocks) != len(structure.dims):
             raise ShapeError("block count does not match the structure")
-        frozen = []
-        for n, b in zip(structure.dims, blocks):
-            arr = np.array(b, dtype=complex)
+        coords = np.empty(structure.dim, dtype=complex)
+        for i, (n, b) in enumerate(zip(structure.dims, blocks)):
+            arr = np.asarray(b, dtype=complex)
             if arr.shape != (n, n):
                 raise ShapeError(f"expected a {n}x{n} block, got {arr.shape}")
-            arr.flags.writeable = False
-            frozen.append(arr)
+            coords[structure.offsets[i]:structure.offsets[i + 1]] = arr.reshape(-1)
+        coords.flags.writeable = False
         self.structure = structure
-        self.blocks = tuple(frozen)
-        self._coords = None
+        self._coords = coords
+
+    @classmethod
+    def _own(cls, structure, coords):
+        """The element with coordinates ``coords``, a fresh array it freezes and keeps."""
+        self = object.__new__(cls)
+        coords.flags.writeable = False
+        self.structure = structure
+        self._coords = coords
+        return self
+
+    @property
+    def blocks(self):
+        """The blocks, as read-only views into the coordinates."""
+        return tuple(self.structure.split(self._coords))
 
     def coords(self):
-        if self._coords is None:
-            c = np.concatenate([b.reshape(-1) for b in self.blocks])
-            c.flags.writeable = False
-            self._coords = c
         return self._coords
 
     def _check_same(self, other):
@@ -151,40 +164,53 @@ class AlgebraElement:
 
     def __add__(self, other):
         self._check_same(other)
-        return AlgebraElement(self.structure, [a + b for a, b in zip(self.blocks, other.blocks)])
+        return AlgebraElement._own(self.structure, self._coords + other._coords)
 
     def __sub__(self, other):
         self._check_same(other)
-        return AlgebraElement(self.structure, [a - b for a, b in zip(self.blocks, other.blocks)])
+        return AlgebraElement._own(self.structure, self._coords - other._coords)
 
     def __neg__(self):
-        return AlgebraElement(self.structure, [-a for a in self.blocks])
+        return AlgebraElement._own(self.structure, -self._coords)
 
     def __mul__(self, other):
         if isinstance(other, numbers.Number):
-            return AlgebraElement(self.structure, [a * other for a in self.blocks])
+            return AlgebraElement._own(self.structure, self._coords * other)
         if isinstance(other, AlgebraElement):
             self._check_same(other)
-            return AlgebraElement(self.structure, [a @ b for a, b in zip(self.blocks, other.blocks)])
+            out = np.empty_like(self._coords)
+            for _, _, idx in self.structure.size_classes:
+                out[idx] = self._coords[idx] @ other._coords[idx]
+            return AlgebraElement._own(self.structure, out)
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, numbers.Number):
-            return AlgebraElement(self.structure, [other * a for a in self.blocks])
+            return AlgebraElement._own(self.structure, other * self._coords)
         return NotImplemented
 
     def adjoint(self):
-        return AlgebraElement(self.structure, [a.conj().T for a in self.blocks])
+        return AlgebraElement._own(self.structure, self._coords.conj()[self.structure.star_perm])
 
     def norm_inf(self):
         """Operator norm: the largest singular value over all blocks."""
-        return max(np.linalg.norm(b, 2) for b in self.blocks)
+        return max(np.linalg.svd(s, compute_uv=False).max() for s in _stacks(self))
 
     def is_hermitian(self, tol=POSITIVITY_TOL):
         return (self - self.adjoint()).norm_inf() <= tol
 
     def __repr__(self):
         return f"AlgebraElement(dims={self.structure.dims})"
+
+
+def _stacks(a):
+    """The (m, n, n) stack of the blocks of each size class of ``a``."""
+    c = a.coords()
+    return [c[idx] for _, _, idx in a.structure.size_classes]
+
+
+def _hermitian(stack):
+    return (stack + stack.conj().swapaxes(-1, -2)) / 2
 
 
 class LinearFunctional:
@@ -266,41 +292,24 @@ class TensorSplit:
         self.right = right
         dims = [na * nb for na in left.dims for nb in right.dims]
         self.product = BlockStructure(dims)
-        DB = right.dim
-        perm = np.empty(self.product.dim, dtype=np.intp)
-        pos = 0
-        for ia, na in enumerate(left.dims):
-            for ib, nb in enumerate(right.dims):
-                for r1 in range(na):
-                    for r2 in range(nb):
-                        for c1 in range(na):
-                            for c2 in range(nb):
-                                perm[pos] = (left.index(ia, r1, c1) * DB
-                                             + right.index(ib, r2, c2))
-                                pos += 1
-        self.perm = perm
-        self.inv_perm = np.argsort(perm)
+        ka = [np.arange(o, o + n * n).reshape(n, n) for o, n in zip(left.offsets, left.dims)]
+        kb = [np.arange(o, o + n * n).reshape(n, n) for o, n in zip(right.offsets, right.dims)]
+        # entry ((r1, r2), (c1, c2)) of product block (ia, ib) is kron index (ia r1 c1, ib r2 c2)
+        self.perm = np.concatenate([
+            (a[:, None, :, None] * right.dim + b[None, :, None, :]).reshape(-1)
+            for a in ka for b in kb
+        ])
+        self.inv_perm = np.argsort(self.perm)
 
     def elem(self, a, b):
         if a.structure != self.left or b.structure != self.right:
             raise ShapeError("factors do not match the tensor split")
-        blocks = [np.kron(ba, bb) for ba in a.blocks for bb in b.blocks]
-        return self.product.element(blocks)
+        return AlgebraElement._own(self.product, np.kron(a.coords(), b.coords())[self.perm])
 
     def functional(self, phi, psi):
         if phi.structure != self.left or psi.structure != self.right:
             raise ShapeError("factors do not match the tensor split")
         return LinearFunctional(self.product, np.kron(phi.coeffs, psi.coeffs)[self.perm])
-
-    def map_tensor(self, m1, m2, codomain_split=None):
-        """m1 (x) m2 as a map between product structures."""
-        if m1.domain != self.left or m2.domain != self.right:
-            raise ShapeError("map domains do not match the tensor split")
-        cod = codomain_split or self
-        if m1.codomain != cod.left or m2.codomain != cod.right:
-            raise ShapeError("map codomains do not match the codomain split")
-        big = np.kron(m1.matrix, m2.matrix)
-        return AlgebraMap(self.product, cod.product, big[cod.perm][:, self.perm])
 
     def kron_coords(self, element):
         """Coordinates of a product-structure element in Kronecker order."""
@@ -316,11 +325,6 @@ class TensorSplit:
         w = self.kron_coords(element).reshape(self.left.dim, self.right.dim)
         return self.right.from_coords(phi.coeffs @ w)
 
-    def apply_right(self, phi, element):
-        """(id (x) phi) applied to an element of the product."""
-        w = self.kron_coords(element).reshape(self.left.dim, self.right.dim)
-        return self.left.from_coords(w @ phi.coeffs)
-
 
 def hermitian_part(a):
     return (a + a.adjoint()) * 0.5
@@ -330,10 +334,7 @@ def is_positive(a, tol=POSITIVITY_TOL):
     """Hermitian within ``tol`` and all block eigenvalues >= -tol."""
     if not a.is_hermitian(tol):
         return False
-    for b in a.blocks:
-        if np.linalg.eigvalsh((b + b.conj().T) / 2).min() < -tol:
-            return False
-    return True
+    return not any(np.linalg.eigvalsh(_hermitian(s)).min() < -tol for s in _stacks(a))
 
 
 def is_projection(a, tol=POSITIVITY_TOL):
@@ -349,34 +350,39 @@ def spectral_decomposition(a, cluster_tol=CLUSTER_TOL, herm_tol=POSITIVITY_TOL):
     """
     if not a.is_hermitian(herm_tol):
         raise DomainError("spectral decomposition requires a Hermitian element")
-    eigs = []  # (eigenvalue, block index, eigenvector)
-    for i, b in enumerate(a.blocks):
-        vals, vecs = np.linalg.eigh((b + b.conj().T) / 2)
-        for j, lam in enumerate(vals):
-            eigs.append((float(lam), i, vecs[:, j]))
-    eigs.sort(key=lambda t: t[0])
-    out = []
-    pos = 0
-    while pos < len(eigs):
-        end = pos + 1
-        while end < len(eigs) and eigs[end][0] - eigs[end - 1][0] <= cluster_tol:
-            end += 1
-        cluster = eigs[pos:end]
-        lam = sum(t[0] for t in cluster) / len(cluster)
-        blocks = [np.zeros((n, n), dtype=complex) for n in a.structure.dims]
-        for _, i, v in cluster:
-            blocks[i] = blocks[i] + np.outer(v, v.conj())
-        out.append((lam, a.structure.element(blocks)))
-        pos = end
-    return out
+    st = a.structure
+    # eigenvalue slots in block order, ascending within a block, ahead of the
+    # stable sort: ties keep that order, so the clusters do not depend on batching
+    first = np.cumsum((0,) + st.dims[:-1])
+    lam = np.empty(sum(st.dims))
+    eigs = []
+    for (n, ids, idx), s in zip(st.size_classes, _stacks(a)):
+        vals, vecs = np.linalg.eigh(_hermitian(s))
+        slots = first[ids][:, None] + np.arange(n)
+        lam[slots] = vals
+        eigs.append((slots, idx, vecs))
+    order = np.argsort(lam, kind="stable")
+    ranked = lam[order]
+    breaks = np.flatnonzero(np.diff(ranked) > cluster_tol) + 1
+    cluster = np.empty(len(lam), dtype=np.intp)
+    cluster[order] = np.searchsorted(breaks, np.arange(len(lam)), side="right")
+    proj = np.zeros((len(breaks) + 1, st.dim), dtype=complex)
+    for slots, idx, vecs in eigs:
+        # outer[m, j] = v v* for the j-th eigenvector v of block m
+        outer = np.einsum("mrj,mcj->mjrc", vecs, vecs.conj())
+        np.add.at(proj, (cluster[slots][:, :, None, None], idx[:, None, :, :]), outer)
+    bounds = [0, *breaks.tolist(), len(lam)]
+    return [
+        (sum(ranked[lo:hi].tolist()) / (hi - lo), AlgebraElement._own(st, proj[k]))
+        for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
+    ]
 
 
 def support_of_positive(a, tol=POSITIVITY_TOL):
     """Range projection of a positive element: sum of spectral projections with eigenvalue > tol."""
     if not is_positive(a, tol):
         raise DomainError("support is defined for positive elements only")
-    blocks = [np.zeros((n, n), dtype=complex) for n in a.structure.dims]
-    out = a.structure.element(blocks)
+    out = a.structure.zero()
     for lam, p in spectral_decomposition(a, herm_tol=max(tol, POSITIVITY_TOL)):
         if lam > tol:
             out = out + p
@@ -390,15 +396,31 @@ def abs_element(a, herm_tol=POSITIVITY_TOL):
     straddle zero would silently cancel their contributions to |a|.
     """
     def blockwise(elem, transform):
-        blocks = []
-        for b in elem.blocks:
-            vals, vecs = np.linalg.eigh((b + b.conj().T) / 2)
-            blocks.append((vecs * transform(vals)) @ vecs.conj().T)
-        return elem.structure.element(blocks)
+        out = np.empty(elem.structure.dim, dtype=complex)
+        for (_, _, idx), s in zip(elem.structure.size_classes, _stacks(elem)):
+            vals, vecs = np.linalg.eigh(_hermitian(s))
+            out[idx] = (vecs * transform(vals)[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
+        return AlgebraElement._own(elem.structure, out)
 
     if a.is_hermitian(herm_tol):
         return blockwise(a, np.abs)
     return blockwise(a.adjoint() * a, lambda v: np.sqrt(np.clip(v, 0.0, None)))
+
+
+def lp_norms(a, weights):
+    """(L^1, L^2, L^inf) norms of ``a`` for the tracial state with block weights ``weights``.
+
+    For any a, with singular values s of block i: haar(|a|) = sum_i w_i sum s,
+    haar(a* a) = sum_i w_i sum s**2 and the operator norm is max s.
+    """
+    weights = np.asarray(weights, dtype=float)
+    l1 = l2sq = linf = 0.0
+    for (_, ids, _), stack in zip(a.structure.size_classes, _stacks(a)):
+        s = np.linalg.svd(stack, compute_uv=False)
+        l1 += weights[ids] @ s.sum(axis=1)
+        l2sq += weights[ids] @ (s * s).sum(axis=1)
+        linf = max(linf, s.max())
+    return float(l1), float(np.sqrt(l2sq)), float(linf)
 
 
 def p_norm(a, haar, p):
@@ -407,14 +429,12 @@ def p_norm(a, haar, p):
     p = 1:   haar(|a|)
     p = 2:   haar(a* a) ** 0.5
     p = inf: the operator norm.
+    A tracial state has coefficients w_i * I on block i; see :func:`lp_norms`.
     """
-    if p == 1:
-        return float(haar(abs_element(a)).real)
-    if p == 2:
-        return float(np.sqrt(max(haar(a.adjoint() * a).real, 0.0)))
-    if p in (np.inf, float("inf"), "inf"):
-        return float(a.norm_inf())
-    raise ValueError("p must be 1, 2 or inf")
+    if p not in (1, 2, np.inf, "inf"):
+        raise ValueError("p must be 1, 2 or inf")
+    l1, l2, linf = lp_norms(a, haar.coeffs.real[list(a.structure.offsets[:-1])])
+    return l1 if p == 1 else l2 if p == 2 else linf
 
 
 def random_element(structure, rng, scale=1.0):

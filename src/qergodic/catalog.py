@@ -280,22 +280,3 @@ def kac_paljutkin():
     counit = LinearFunctional(structure, eps)
     antipode = AlgebraMap(structure, structure, smat)
     return FiniteQuantumGroup(structure, comul, counit, antipode, label="Kac-Paljutkin")
-
-
-# -- catalog roll-call ---------------------------------------------------------------
-
-
-def catalog_entries(max_cyclic=8, include_kp=True):
-    """The standard test roll: F(C2..Cmax), F(S3), C[C2..Cmax], C[S3], Kac-Paljutkin."""
-    from .groups import cyclic_group, symmetric_group
-
-    entries = []
-    for n in range(2, max_cyclic + 1):
-        entries.append(function_algebra(cyclic_group(n)))
-    entries.append(function_algebra(symmetric_group(3)))
-    for n in range(2, max_cyclic + 1):
-        entries.append(group_algebra(cyclic_group(n)))
-    entries.append(group_algebra(symmetric_group(3)))
-    if include_kp:
-        entries.append(kac_paljutkin())
-    return entries

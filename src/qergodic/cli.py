@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 malformed configuration, 3 unsupported combination,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -123,14 +124,21 @@ def parse_config(source):
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: line {exc.lineno}: {exc.msg}")
-    try:
-        import jsonschema
+    from jsonschema.exceptions import best_match
 
-        jsonschema.validate(raw, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "(top level)"
-        raise ConfigError(f"config field {path}: {exc.message}")
+    # the error jsonschema.validate would raise
+    error = best_match(_config_validator().iter_errors(raw))
+    if error is not None:
+        path = "/".join(str(p) for p in error.absolute_path) or "(top level)"
+        raise ConfigError(f"config field {path}: {error.message}")
     return raw
+
+
+@functools.cache
+def _config_validator():
+    from jsonschema.validators import validator_for
+
+    return validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
 
 
 def build_quantum_group(group_spec):

@@ -13,7 +13,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .blocks import (
     BlockStructure,
@@ -88,17 +87,23 @@ class FiniteQuantumGroup:
             self._haar_data = self._solve_haar()
             self._haar_element = self._find_haar_element()
 
-    @property
-    def haar(self):
+    def _haar_solution(self):
         if self._haar_data is None:
             self._haar_data = self._solve_haar()
-        return self._haar_data[0]
+        return self._haar_data
+
+    @property
+    def haar(self):
+        return self._haar_solution()[0]
 
     @property
     def haar_weights(self):
-        if self._haar_data is None:
-            self._haar_data = self._solve_haar()
-        return self._haar_data[1]
+        return self._haar_solution()[1]
+
+    @property
+    def haar_coord_weights(self):
+        """The Haar weight of each coordinate's block: a length-D vector."""
+        return self._haar_solution()[2]
 
     @property
     def haar_element(self):
@@ -131,14 +136,12 @@ class FiniteQuantumGroup:
         """
         D = self.dim
         unit = self.unit.coords()
-        rows = []
-        for f in range(D):
-            W = self.comul_kron[:, f].reshape(D, D)
-            E = W.T.copy()
-            E[:, f] -= unit
-            rows.append(E)
-        system = np.vstack(rows)
-        _, sing, vh = np.linalg.svd(system)
+        dk3 = self.comul_kron.reshape(D, D, D)  # [s, t, f]
+        # block f of the system is W_f.T - unit e_f^T, with W_f = Delta(e_f) as a D x D array
+        system = dk3.transpose(2, 1, 0).copy()
+        system[np.arange(D), :, np.arange(D)] -= unit
+        system = system.reshape(D * D, D)
+        _, sing, vh = np.linalg.svd(system, full_matrices=False)
         null_count = int(np.sum(sing <= 1e-10 * max(1.0, sing[0])))
         if null_count != 1:
             raise StructuralError(
@@ -148,28 +151,25 @@ class FiniteQuantumGroup:
         coeffs = vh[-1].conj()
         coeffs = coeffs / (coeffs @ unit)
         # tracial and faithful <=> each block of coefficients is w_i * I with w_i > 0
-        weights = []
-        for i, n in enumerate(self.structure.dims):
-            seg = coeffs[self.structure.offsets[i]:self.structure.offsets[i + 1]].reshape(n, n)
-            w = seg.trace() / n
-            if abs(w.imag) > 1e-9 or w.real <= 1e-12:
+        weights = np.empty(len(self.structure.dims))
+        for n, ids, idx in self.structure.size_classes:
+            seg = coeffs[idx]
+            w = np.trace(seg, axis1=1, axis2=2) / n
+            if np.any(np.abs(w.imag) > 1e-9) or np.any(w.real <= 1e-12):
                 raise StructuralError("Haar state is not faithful and positive")
-            if np.abs(seg - w * np.eye(n)).max() > 1e-9:
+            if np.abs(seg - w[:, None, None] * np.eye(n)).max() > 1e-9:
                 raise StructuralError("Haar state is not tracial")
-            weights.append(float(w.real))
-        coeffs = np.concatenate(
-            [w * np.eye(n).reshape(-1) for w, n in zip(weights, self.structure.dims)]
-        )
+            weights[ids] = w.real
+        coord_weights = np.repeat(weights, [n * n for n in self.structure.dims])
+        coord_weights.flags.writeable = False
+        coeffs = coord_weights * unit.real
         haar = LinearFunctional(self.structure, coeffs)
         # right invariance and antipode invariance are theorems; treat failures as structural
-        for f in range(D):
-            W = self.comul_kron[:, f].reshape(D, D)
-            lhs = W @ coeffs
-            if np.abs(lhs - coeffs[f] * unit).max() > 1e-9:
-                raise StructuralError("Haar state is not right invariant")
+        if np.abs(dk3.transpose(2, 0, 1) @ coeffs - np.outer(coeffs, unit)).max() > 1e-9:
+            raise StructuralError("Haar state is not right invariant")
         if np.abs(self.antipode.matrix.T @ coeffs - coeffs).max() > 1e-9:
             raise StructuralError("Haar state is not antipode invariant")
-        return haar, tuple(weights)
+        return haar, tuple(weights.tolist()), coord_weights
 
     def _find_haar_element(self):
         """The minimal central projection spanning the counit's one-dimensional factor."""
@@ -298,6 +298,8 @@ class FiniteQuantumGroup:
         blocks; rank-1 candidates are swept over a Bloch-sphere grid and
         refined by least squares on the defining residual.
         """
+        from scipy import optimize
+
         dims = self.structure.dims
         if any(n > 2 for n in dims):
             raise UnsupportedError(

@@ -3,7 +3,8 @@
 A walk is a state nu on the algebra of functions, stored through both faces of
 the density/functional duality: nu(g) = haar(f_nu * g).  Because the Haar state
 is tracial with strictly positive block weights w_i, the two faces are related
-by a per-block transpose and scale, which keeps every conversion exact.
+by a per-block transpose (the ``star_perm`` gather) and a per-coordinate scale
+by the weight of the coordinate's block, which keeps every conversion exact.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from .blocks import (
     DomainError,
     LinearFunctional,
     ShapeError,
-    abs_element,
     is_positive,
+    lp_norms,
     p_norm,
     random_positive,
     support_of_positive,
@@ -32,22 +33,13 @@ class NumericError(RuntimeError):
 
 
 def functional_coeffs_from_density(group, density):
-    coeffs = np.empty(group.dim, dtype=complex)
-    st = group.structure
-    for i, n in enumerate(st.dims):
-        w = group.haar_weights[i]
-        coeffs[st.offsets[i]:st.offsets[i + 1]] = (w * density.blocks[i].T).reshape(-1)
-    return coeffs
+    return group.haar_coord_weights * density.coords()[group.structure.star_perm]
 
 
 def density_from_functional(group, coeffs):
     st = group.structure
-    blocks = []
-    for i, n in enumerate(st.dims):
-        w = group.haar_weights[i]
-        seg = np.asarray(coeffs[st.offsets[i]:st.offsets[i + 1]], dtype=complex).reshape(n, n)
-        blocks.append(seg.T / w)
-    return st.element(blocks)
+    return st.from_coords(np.asarray(coeffs, dtype=complex)[st.star_perm]
+                          / group.haar_coord_weights)
 
 
 class WalkState:
@@ -114,10 +106,6 @@ def haar_state(group):
 
 def state_from_density(group, density, check=True):
     return WalkState.from_density(group, density, check=check)
-
-
-def density_of(state):
-    return state.density
 
 
 class StochasticOperator:
@@ -202,7 +190,8 @@ def distances_to_random(nu, kmax):
     """Rows (k, tv, l2, qsd) for k = 1..kmax.
 
     For checked states the TV and QSD columns are verified non-increasing
-    (within 1e-10 slack), as the theory requires.
+    (within 1e-10 slack), as the theory requires.  All three distances of a
+    step come from one SVD per block size (see ``lp_norms``).
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
@@ -213,11 +202,9 @@ def distances_to_random(nu, kmax):
     coeffs = nu.functional.coeffs
     prev_tv = prev_qsd = None
     for k in range(1, kmax + 1):
-        f = density_from_functional(group, coeffs)
-        diff = f - unit
-        tv = 0.5 * p_norm(diff, group.haar, 1)
-        l2 = p_norm(diff, group.haar, 2)
-        qsd = diff.norm_inf()
+        diff = density_from_functional(group, coeffs) - unit
+        l1, l2, qsd = lp_norms(diff, group.haar_weights)
+        tv = 0.5 * l1
         if nu.checked and prev_tv is not None:
             if tv > prev_tv + 1e-10 or qsd > prev_qsd + 1e-10:
                 raise NumericError(f"distance trace increased at step {k}")

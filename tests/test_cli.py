@@ -1,9 +1,19 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-from qergodic.cli import ConfigError, build_quantum_group, build_state, main, parse_config
+import qergodic
+from qergodic.cli import (
+    CONFIG_SCHEMA,
+    ConfigError,
+    build_quantum_group,
+    build_state,
+    main,
+    parse_config,
+)
 
 CFG_41 = {
     "schema": 1,
@@ -43,6 +53,27 @@ def test_parse_rejects_bad_json(tmp_path):
     cfg.write_text("{not json")
     with pytest.raises(ConfigError):
         parse_config(str(cfg))
+
+
+def test_schema_is_valid_and_the_best_error_is_reported():
+    from jsonschema.validators import validator_for
+
+    validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
+    # kmax and tol are both out of range; jsonschema's relevance ranking picks tol
+    with pytest.raises(ConfigError) as exc:
+        parse_config({"group": {"kac_paljutkin": {}}, "state": {"point": 0},
+                      "kmax": 0, "tol": -1})
+    assert str(exc.value) == "config field tol: -1 is less than or equal to the minimum of 0"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(qergodic.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, qergodic.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_weights_not_summing_to_one_exit_2(tmp_path):
