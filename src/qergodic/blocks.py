@@ -262,15 +262,6 @@ class AlgebraMap:
             raise ShapeError("element is not in the map's domain")
         return self.codomain.from_coords(self.matrix @ element.coords())
 
-    def compose(self, inner):
-        """self after inner."""
-        if inner.codomain != self.domain:
-            raise ShapeError("composition shapes do not agree")
-        return AlgebraMap(inner.domain, self.codomain, self.matrix @ inner.matrix)
-
-    def __matmul__(self, inner):
-        return self.compose(inner)
-
     def transpose_on_functional(self, functional):
         """phi |-> phi o self."""
         if functional.structure != self.codomain:

@@ -16,7 +16,7 @@ from importlib import resources
 import numpy as np
 
 from .blocks import AlgebraMap, BlockStructure, LinearFunctional, TensorSplit, is_positive
-from .groups import FiniteGroup, IrrepTable, irreps_for, is_subgroup
+from .groups import FiniteGroup, IrrepTable, irreps_for, is_subgroup, representation_defect
 from .hopf import FiniteQuantumGroup, StructuralError
 from .walks import WalkState
 
@@ -55,17 +55,17 @@ def function_algebra(group):
     n = group.order
     structure = BlockStructure([1] * n)
     split = TensorSplit(structure, structure)
+    elems = np.arange(n)
+    inverse = np.asarray(group.inverse)
+    # delta^s |-> sum_t delta^(s t^-1) (x) delta^t: row (s t^-1, t), column s
     dk = np.zeros((n * n, n))
-    for s in range(n):
-        for t in range(n):
-            dk[group.mul(s, group.inv(t)) * n + t, s] = 1.0
+    dk[group.cayley[:, inverse] * n + elems, elems[:, None]] = 1.0
     comul = AlgebraMap(structure, split.product, dk[split.perm])
     eps = np.zeros(n)
     eps[group.identity] = 1.0
     counit = LinearFunctional(structure, eps)
     smat = np.zeros((n, n))
-    for s in range(n):
-        smat[group.inv(s), s] = 1.0
+    smat[inverse, elems] = 1.0
     antipode = AlgebraMap(structure, structure, smat)
     try:
         irreps = irreps_for(group)
@@ -90,10 +90,9 @@ def group_algebra(group, irreps=None):
     if structure.dim != group.order:
         raise StructuralError("irrep table is incomplete")
     split = TensorSplit(structure, structure)
-    basis = np.column_stack([
-        np.concatenate([r.matrices[g].reshape(-1) for r in irreps.irreps])
-        for g in range(group.order)
-    ])
+    basis = np.concatenate(
+        [r.matrices.reshape(group.order, -1) for r in irreps.irreps], axis=1
+    ).T
     basis_inv = np.linalg.inv(basis)
     delta_cols = np.column_stack([
         split.elem(structure.from_coords(basis[:, g]),
@@ -162,7 +161,7 @@ def classical_state(fg, spec):
     return WalkState(fg, density=density, label=f"{kind}")
 
 
-def state_from_positive_definite(dual, rho, xi, check_rep=True):
+def state_from_positive_definite(dual, rho, xi):
     """State on CG from a unitary representation and a unit vector.
 
     u(s) = <rho(s) xi, xi> with the inner product conjugate-linear on the
@@ -172,18 +171,14 @@ def state_from_positive_definite(dual, rho, xi, check_rep=True):
     if not isinstance(real, DualRealization):
         raise StructuralError("positive-definite states live on a group algebra")
     group = real.group
-    mats = [np.asarray(m, dtype=complex) for m in rho]
+    mats = np.asarray(rho, dtype=complex)
     xi = np.asarray(xi, dtype=complex)
     if abs(np.linalg.norm(xi) - 1.0) > 1e-9:
         raise ValueError("xi must be a unit vector")
-    if check_rep:
-        d = mats[0].shape[0]
-        for g in range(group.order):
-            if np.abs(mats[g] @ mats[g].conj().T - np.eye(d)).max() > 1e-9:
-                raise ValueError("rho is not unitary")
-            for h in range(group.order):
-                if np.abs(mats[g] @ mats[h] - mats[group.mul(g, h)]).max() > 1e-9:
-                    raise ValueError("rho is not a homomorphism")
+    defect = representation_defect(group, mats, 1e-9)
+    if defect is not None:
+        raise ValueError("rho is not unitary" if defect[0] == "unitary"
+                         else "rho is not a homomorphism")
     values = np.array([np.vdot(xi, mats[g] @ xi) for g in range(group.order)])
     return dual_state_from_values(dual, values)
 

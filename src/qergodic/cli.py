@@ -21,7 +21,7 @@ import numpy as np
 
 from . import catalog, ergodicity, walks
 from .blocks import random_positive, spectral_decomposition, support_of_positive
-from .groups import build_group, s3_standard_integral
+from .groups import build_group, permutation_matrices, s3_standard_integral
 from .hopf import UnsupportedError
 
 SCHEMA_VERSION = 1
@@ -176,13 +176,7 @@ def _resolve_rep(dual, name):
     real = dual.realization
     group = real.group
     if name == "permutation" and group.perms is not None:
-        mats = []
-        for p in group.perms:
-            m = np.zeros((len(p), len(p)))
-            for i, x in enumerate(p):
-                m[x, i] = 1.0
-            mats.append(m)
-        return mats, True
+        return permutation_matrices(group), True
     if name == "standard_integral" and group.label == "S3":
         return s3_standard_integral(group), False
     if name.startswith("character:") and group.label.startswith("C"):
@@ -493,7 +487,8 @@ def main(argv=None):
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True, help="JSON config file or inline JSON")
     parser.add_argument("--kmax", type=int, default=None, help="trace length override")
-    parser.add_argument("--tol", type=float, default=None, help="tolerance override")
+    parser.add_argument("--tol", type=float, default=None,
+                        help="eigenvalue clustering tolerance of spectrum (default 1e-8)")
     parser.add_argument("--out", default=None, help="output directory (default: stdout)")
     parser.add_argument("--format", choices=["csv", "json"], default=None)
     args = parser.parse_args(argv)
@@ -502,7 +497,7 @@ def main(argv=None):
         config = parse_config(args.config)
         args.kmax = args.kmax or config.get("kmax", 50)
         if args.tol is None:
-            args.tol = config.get("tol")  # None means per-command defaults
+            args.tol = config.get("tol")  # None means spectrum's default, 1e-8
         handler, default_format = COMMANDS[args.command]
         if args.format is None:
             args.format = default_format

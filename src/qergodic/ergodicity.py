@@ -24,7 +24,6 @@ from .walks import (
     cesaro_limit,
     convolution_power,
     convolve,
-    counit_state,
     haar_state,
     spectrum_peripheral,
     stochastic_operator,
@@ -157,7 +156,7 @@ def is_irreducible(nu):
     route_a = bool((support - group.unit).norm_inf() <= PROJECTION_EQ_TOL)
 
     T = stochastic_operator(nu)
-    fixed = _fixed_point_projections_or_empty(group, T)
+    fixed = _fixed_point_projections(group, T)
     route_b = len(fixed) == 0
 
     k0 = sum(group.structure.dims)
@@ -179,15 +178,6 @@ def is_irreducible(nu):
             f"subharmonic={route_b}, reachability={route_c}"
         )
     return IrreducibilityResult(route_a, support, fixed)
-
-
-def _fixed_point_projections_or_empty(group, T, atol=1e-8):
-    # for irreducible walks the kernel is one dimensional and the search is empty
-    D = group.dim
-    _, sing, _ = np.linalg.svd(T.matrix - np.eye(D))
-    if int(np.sum(sing <= atol)) == 1:
-        return []
-    return _fixed_point_projections(group, T, atol)
 
 
 def _clean_projection(group, raw):
@@ -254,8 +244,8 @@ def classify(nu):
     limit, support = cesaro_limit(nu)
     T = stochastic_operator(nu)
     evals, peripheral = spectrum_peripheral(T)
-    tv_samples = [(k, total_variation(convolution_power(nu, k), haar_state(group)))
-                  for k in (1, 2, 4, 8)]
+    haar = haar_state(group)
+    tv_samples = [(k, total_variation(convolution_power(nu, k), haar)) for k in (1, 2, 4, 8)]
 
     if (support - group.unit).norm_inf() > PROJECTION_EQ_TOL:
         if abs(nu.expect(support) - 1.0) > PROJECTION_EQ_TOL:
@@ -271,7 +261,7 @@ def classify(nu):
             k_star = 1
         else:
             k_star = min(int(np.ceil(np.log(1e-12) / np.log(gap_lambda))) + 1, 2 ** 50)
-        tv_far = total_variation(convolution_power(nu, k_star), haar_state(group))
+        tv_far = total_variation(convolution_power(nu, k_star), haar)
         if tv_far > 1e-6:
             raise ClassificationError(
                 f"spectral gap promises convergence but TV at k={k_star} is {tv_far:.2e}"
@@ -331,8 +321,8 @@ def zhang_criterion(nu, tol=1e-9):
         P = P2
     report.converges = converged
     if converged:
-        eps = counit_state(group).functional.coeffs
-        report.limit = WalkState.from_functional_coeffs(group, P.T @ eps, check=nu.checked)
+        report.limit = WalkState.from_functional_coeffs(group, P.T @ group.counit.coeffs,
+                                                        check=nu.checked)
     return report
 
 

@@ -29,29 +29,25 @@ class FiniteGroup:
         self.perms = list(perms) if perms is not None else None
         self._validate()
         self.identity = 0
-        self.inverse = [int(np.where(self.cayley[g] == 0)[0][0]) for g in range(self.order)]
+        self.inverse = np.argmax(self.cayley == 0, axis=1).tolist()
         self._index = {name: i for i, name in enumerate(self.names)}
 
     def _validate(self):
         n = self.order
-        if self.cayley.shape != (n, n):
+        c = self.cayley
+        if c.shape != (n, n):
             raise GroupValidationError("Cayley table shape does not match the element count")
-        if self.cayley.min() < 0 or self.cayley.max() >= n:
+        if c.min() < 0 or c.max() >= n:
             raise GroupValidationError("Cayley table entries out of range")
-        for g in range(n):
-            if sorted(self.cayley[g]) != list(range(n)) or sorted(self.cayley[:, g]) != list(range(n)):
-                raise GroupValidationError("Cayley table is not a Latin square")
-        if any(self.cayley[0, g] != g or self.cayley[g, 0] != g for g in range(n)):
+        elems = np.arange(n)
+        if not ((np.sort(c, axis=1) == elems).all() and (np.sort(c, axis=0) == elems[:, None]).all()):
+            raise GroupValidationError("Cayley table is not a Latin square")
+        if not ((c[0] == elems).all() and (c[:, 0] == elems).all()):
             raise GroupValidationError("element 0 does not act as the identity")
+        # (ab)x = a(bx) for all b, x at once; a Latin square gives every element an inverse
         for a in range(n):
-            for b in range(n):
-                ab = self.cayley[a, b]
-                for c in range(n):
-                    if self.cayley[ab, c] != self.cayley[a, self.cayley[b, c]]:
-                        raise GroupValidationError("Cayley table is not associative")
-        for g in range(n):
-            if not np.any(self.cayley[g] == 0):
-                raise GroupValidationError("an element has no inverse")
+            if not np.array_equal(c[c[a]], c[a][c]):
+                raise GroupValidationError("Cayley table is not associative")
 
     def mul(self, a, b):
         return int(self.cayley[a, b])
@@ -65,14 +61,15 @@ class FiniteGroup:
         return self._index[name]
 
     def conjugacy_classes(self):
-        seen = set()
+        # conj[h, g] = h g h^-1
+        conj = self.cayley[self.cayley, np.asarray(self.inverse)[:, None]]
+        seen = np.zeros(self.order, dtype=bool)
         classes = []
         for g in range(self.order):
-            if g in seen:
-                continue
-            orbit = {self.mul(self.mul(h, g), self.inv(h)) for h in range(self.order)}
-            seen |= orbit
-            classes.append(sorted(orbit))
+            if not seen[g]:
+                orbit = np.unique(conj[:, g])
+                seen[orbit] = True
+                classes.append(orbit.tolist())
         return classes
 
     def __repr__(self):
@@ -85,8 +82,8 @@ class FiniteGroup:
 def cyclic_group(n):
     if n < 1:
         raise GroupValidationError("cyclic order must be >= 1")
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return FiniteGroup([str(i) for i in range(n)], table, label=f"C{n}")
+    elems = np.arange(n)
+    return FiniteGroup([str(i) for i in range(n)], (elems[:, None] + elems) % n, label=f"C{n}")
 
 
 def _cycle_notation(perm):
@@ -118,12 +115,12 @@ def symmetric_group(n):
     perms = list(itertools.permutations(range(n)))
     support = lambda p: sum(1 for i, x in enumerate(p) if x != i)
     perms.sort(key=lambda p: (support(p), _cycle_notation(p)))
-    index = {p: i for i, p in enumerate(perms)}
-    # composition convention: (a b)(x) = a(b(x))
-    table = [
-        [index[tuple(a[b[x]] for x in range(n))] for b in perms]
-        for a in perms
-    ]
+    arr = np.array(perms)
+    code = n ** np.arange(n)  # a permutation read as a base-n number
+    index = np.zeros(n ** n, dtype=int)
+    index[arr @ code] = np.arange(len(perms))
+    # composition convention: (a b)(x) = a(b(x)); arr[:, arr][a, b, x] = arr[a, arr[b, x]]
+    table = index[arr[:, arr] @ code]
     names = [_cycle_notation(p) for p in perms]
     return FiniteGroup(names, table, label=f"S{n}", perms=perms)
 
@@ -133,13 +130,9 @@ def dihedral_group(n):
     if n < 1:
         raise GroupValidationError("dihedral parameter must be >= 1")
     names = [f"r{i}" for i in range(n)] + [f"s{i}" for i in range(n)]
-    table = [[0] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        for j in range(n):
-            table[i][j] = (i + j) % n
-            table[i][j + n] = (i + j) % n + n
-            table[i + n][j] = (i - j) % n + n
-            table[i + n][j + n] = (i - j) % n
+    i, j = np.arange(n)[:, None], np.arange(n)
+    rot, ref = (i + j) % n, (i - j) % n
+    table = np.block([[rot, rot + n], [ref + n, ref]])
     return FiniteGroup(names, table, label=f"D{n}")
 
 
@@ -167,55 +160,41 @@ def build_group(family, n=None, table=None):
 
 
 def _closure(group, seed):
-    out = set(seed) | {0}
-    frontier = list(out)
-    while frontier:
-        fresh = []
-        for a in list(out):
-            for b in frontier:
-                for c in (group.mul(a, b), group.mul(b, a)):
-                    if c not in out:
-                        out.add(c)
-                        fresh.append(c)
-        frontier = fresh
-    return frozenset(out)
+    members = np.zeros(group.order, dtype=bool)
+    members[[0, *seed]] = True
+    while True:
+        s = np.flatnonzero(members)
+        members[group.cayley[np.ix_(s, s)]] = True
+        if members.sum() == len(s):
+            return frozenset(s.tolist())
 
 
 def subgroups(group):
     """All subgroups, as sorted index tuples.
 
-    Brute force: close every <=2-generator subset, then close the collection
-    under pairwise joins until stable.  Bounded at order 64.
+    Brute force: close every cyclic subgroup, then close the collection under
+    pairwise joins until stable; every subgroup is the join of the cyclic
+    subgroups of its elements.  Bounded at order 64.
     """
     if group.order > 64:
         raise GroupValidationError("subgroup enumeration is bounded at order 64")
-    found = {frozenset({0})}
-    for g in range(group.order):
-        found.add(_closure(group, {g}))
-    for g in range(group.order):
-        for h in range(g + 1, group.order):
-            found.add(_closure(group, {g, h}))
-    while True:
-        fresh = set()
-        for a in found:
-            for b in found:
-                j = _closure(group, a | b)
-                if j not in found:
-                    fresh.add(j)
-        if not fresh:
-            break
+    found = {_closure(group, [g]) for g in range(group.order)}
+    fresh = set(found)
+    while fresh:
+        # joins of two subgroups found before the last round were taken then
+        joins = {_closure(group, a | b) for a in fresh for b in found if not a <= b}
+        fresh = joins - found
         found |= fresh
     return sorted(tuple(sorted(h)) for h in found)
 
 
 def is_normal(group, subgroup_elems):
-    h_set = set(subgroup_elems)
-    for g in range(group.order):
-        gi = group.inv(g)
-        for h in h_set:
-            if group.mul(group.mul(g, h), gi) not in h_set:
-                return False
-    return True
+    h = np.array(list(subgroup_elems), dtype=int)
+    members = np.zeros(group.order, dtype=bool)
+    members[h] = True
+    # g h g^-1 for every g (rows) and h (columns)
+    conj = group.cayley[group.cayley[:, h], np.asarray(group.inverse)[:, None]]
+    return bool(members[conj].all())
 
 
 def normal_subgroups(group):
@@ -223,23 +202,42 @@ def normal_subgroups(group):
 
 
 def is_subgroup(group, elems):
-    s = set(elems)
+    s = np.unique(np.array(list(elems), dtype=int))
     if 0 not in s:
         return False
-    return all(group.mul(a, b) in s for a in s for b in s)
+    members = np.zeros(group.order, dtype=bool)
+    members[s] = True
+    return bool(members[group.cayley[np.ix_(s, s)]].all())
 
 
 # -- irreducible representations ---------------------------------------------------
+
+
+def representation_defect(group, matrices, tol):
+    """The first law an (order, d, d) array of matrices breaks as a unitary representation.
+
+    Elements are taken in index order, unitarity of M[g] before the
+    homomorphism law M[g] M[h] = M[gh] over all h: returns ("unitary", g) or
+    ("homomorphism", g), or None for a unitary representation.
+    """
+    mats = np.asarray(matrices, dtype=complex)
+    unitary_err = np.abs(mats @ mats.conj().transpose(0, 2, 1) - np.eye(mats.shape[1]))
+    not_unitary = np.flatnonzero(unitary_err.max(axis=(1, 2)) > tol)
+    first = not_unitary[0] if len(not_unitary) else group.order
+    for a in range(first):
+        if np.abs(mats[a] @ mats - mats[group.cayley[a]]).max() > tol:
+            return "homomorphism", a
+    return None if first == group.order else ("unitary", int(first))
 
 
 @dataclass
 class Irrep:
     name: str
     dim: int
-    matrices: list  # one unitary dim x dim array per group element
+    matrices: np.ndarray  # (order, dim, dim): the unitary matrix of each group element
 
     def character(self):
-        return np.array([m.trace() for m in self.matrices])
+        return np.trace(self.matrices, axis1=1, axis2=2)
 
 
 class IrrepTable:
@@ -255,20 +253,16 @@ class IrrepTable:
         if sum(r.dim ** 2 for r in self.irreps) != n:
             raise GroupValidationError("irrep dimensions do not sum to the group order")
         for r in self.irreps:
-            for g in range(n):
-                m = r.matrices[g]
-                if np.abs(m @ m.conj().T - np.eye(r.dim)).max() > tol:
+            defect = representation_defect(self.group, r.matrices, tol)
+            if defect is not None:
+                law, g = defect
+                if law == "unitary":
                     raise GroupValidationError(f"irrep {r.name} is not unitary at {g}")
-                for h in range(n):
-                    if np.abs(r.matrices[g] @ r.matrices[h]
-                              - r.matrices[self.group.mul(g, h)]).max() > tol:
-                        raise GroupValidationError(f"irrep {r.name} is not a homomorphism")
-        chars = [r.character() for r in self.irreps]
-        for a, ca in enumerate(chars):
-            for b, cb in enumerate(chars):
-                ip = (ca * cb.conj()).sum() / n
-                if abs(ip - (1.0 if a == b else 0.0)) > 1e-9:
-                    raise GroupValidationError("character orthogonality fails")
+                raise GroupValidationError(f"irrep {r.name} is not a homomorphism")
+        chars = np.array([r.character() for r in self.irreps])
+        gram = chars @ chars.conj().T / n
+        if np.abs(gram - np.eye(len(chars))).max() > 1e-9:
+            raise GroupValidationError("character orthogonality fails")
 
     @property
     def dims(self):
@@ -279,11 +273,17 @@ def cyclic_irreps(group):
     """Characters k |-> omega**(j*k) of a cyclic group built by cyclic_group()."""
     n = group.order
     omega = np.exp(2j * np.pi / n)
-    irreps = [
-        Irrep(f"chi{j}", 1, [np.array([[omega ** (j * g)]]) for g in range(n)])
-        for j in range(n)
-    ]
-    return IrrepTable(group, irreps)
+    g = np.arange(n).reshape(n, 1, 1)
+    return IrrepTable(group, [Irrep(f"chi{j}", 1, omega ** (j * g)) for j in range(n)])
+
+
+def permutation_matrices(group):
+    """The permutation representation of a permutation-built group: e_i -> e_{p(i)}."""
+    perms = np.array(group.perms)
+    order, n = perms.shape
+    mats = np.zeros((order, n, n))
+    mats[np.arange(order)[:, None], perms, np.arange(n)] = 1.0
+    return mats
 
 
 def s3_irreps(group):
@@ -299,19 +299,12 @@ def s3_irreps(group):
         [1 / np.sqrt(2), -1 / np.sqrt(2), 0],
         [1 / np.sqrt(6), 1 / np.sqrt(6), -2 / np.sqrt(6)],
     ])
-    trivial, sign, standard = [], [], []
-    for p in group.perms:
-        pm = np.zeros((3, 3))
-        for i in range(3):
-            pm[p[i], i] = 1.0  # permutation matrix: e_i -> e_{p(i)}
-        parity = np.linalg.det(pm)
-        trivial.append(np.array([[1.0 + 0j]]))
-        sign.append(np.array([[parity + 0j]]))
-        standard.append((basis @ pm @ basis.T).astype(complex))
+    pm = permutation_matrices(group)
+    parity = np.linalg.det(pm).reshape(6, 1, 1)
     return IrrepTable(group, [
-        Irrep("trivial", 1, trivial),
-        Irrep("sign", 1, sign),
-        Irrep("standard", 2, standard),
+        Irrep("trivial", 1, np.ones((6, 1, 1), dtype=complex)),
+        Irrep("sign", 1, parity + 0j),
+        Irrep("standard", 2, (basis @ pm @ basis.T).astype(complex)),
     ])
 
 

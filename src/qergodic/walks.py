@@ -23,10 +23,6 @@ from .blocks import (
 )
 STATE_TOL = 1e-9
 
-# When enabled, every convolve() cross-checks the functional-side product
-# against the density-side convolution (Van Daele's theorem).
-vandaele_debug = False
-
 
 class NumericError(RuntimeError):
     """A numeric identity that theory guarantees failed to hold."""
@@ -156,12 +152,7 @@ def convolve(nu, mu):
         raise ShapeError("states live on different quantum groups")
     group = nu.group
     coeffs = group.comul_kron.T @ np.kron(nu.functional.coeffs, mu.functional.coeffs)
-    out = WalkState.from_functional_coeffs(group, coeffs, check=nu.checked and mu.checked)
-    if vandaele_debug and nu.checked and mu.checked:
-        boxed = group.box_convolve(nu.density, mu.density)
-        if (out.density - boxed).norm_inf() > 1e-10:
-            raise NumericError("Van Daele cross-check failed in convolve")
-    return out
+    return WalkState.from_functional_coeffs(group, coeffs, check=nu.checked and mu.checked)
 
 
 def convolution_power(nu, k):
@@ -175,8 +166,7 @@ def convolution_power(nu, k):
     group = nu.group
     T = stochastic_operator(nu)
     tk = np.linalg.matrix_power(T.matrix, k)
-    eps = counit_state(group).functional.coeffs
-    return WalkState.from_functional_coeffs(group, tk.T @ eps, check=nu.checked)
+    return WalkState.from_functional_coeffs(group, tk.T @ group.counit.coeffs, check=nu.checked)
 
 
 def total_variation(nu, mu):
@@ -269,7 +259,7 @@ def cesaro_limit(nu):
     T = stochastic_operator(nu).matrix
     P_spec = _cesaro_spectral(T)
     P_iter = _cesaro_iterative(T)
-    eps = counit_state(group).functional.coeffs
+    eps = group.counit.coeffs
     c_spec = P_spec.T @ eps
     c_iter = P_iter.T @ eps
     if np.abs(c_spec - c_iter).max() > 1e-9:

@@ -35,6 +35,21 @@ def test_function_algebra_c2_comultiplication(f_c2):
     assert np.abs(w - expected).max() < 1e-14
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_function_algebra_comultiplication_against_loop(n):
+    from qergodic.groups import dihedral_group
+
+    group = dihedral_group(n)
+    fg = function_algebra(group)
+    for s in range(group.order):
+        expected = np.zeros((group.order, group.order))
+        for t in range(group.order):
+            expected[group.mul(s, group.inv(t)), t] = 1.0  # delta^(s t^-1) (x) delta^t
+        assert np.array_equal(fg.delta_kron(fg.structure.basis_element(s)), expected)
+        antipode = fg.antipode(fg.structure.basis_element(s)).coords()
+        assert np.array_equal(antipode, np.eye(group.order)[group.inv(s)])
+
+
 def test_function_algebra_antipode_and_counit(f_s3, s3):
     for g in range(6):
         d = f_s3.structure.basis_element(g)
@@ -144,6 +159,13 @@ def test_positive_definite_validation(dual_s3, s3):
     bad[3] = np.eye(3) * 2.0
     with pytest.raises(ValueError):
         state_from_positive_definite(dual_s3, bad, [1.0, 0.0, 0.0])
+    bad[0] = np.eye(3) * 2.0
+    with pytest.raises(ValueError, match="rho is not unitary"):
+        state_from_positive_definite(dual_s3, bad, [1.0, 0.0, 0.0])
+    # unitary, but two elements trade matrices
+    swapped = [mats[i] for i in (0, 1, 2, 3, 5, 4)]
+    with pytest.raises(ValueError, match="rho is not a homomorphism"):
+        state_from_positive_definite(dual_s3, swapped, [1.0, 0.0, 0.0])
 
 
 def test_classical_point_identity_is_counit(f_s3):

@@ -5,6 +5,8 @@ import pytest
 
 from qergodic.groups import (
     GroupValidationError,
+    Irrep,
+    IrrepTable,
     build_group,
     cyclic_group,
     cyclic_irreps,
@@ -14,11 +16,14 @@ from qergodic.groups import (
     is_normal,
     is_subgroup,
     normal_subgroups,
+    permutation_matrices,
     s3_irreps,
     s3_standard_integral,
     subgroups,
     symmetric_group,
 )
+
+from conftest import perm_rep_matrices
 
 
 def test_cyclic_basics():
@@ -65,6 +70,18 @@ def test_from_cayley_rejects_non_latin():
         group_from_cayley([[0, 1], [1, 1]])
 
 
+def test_from_cayley_rejects_identity_not_at_zero():
+    # the Latin square of C2 with element 1 as the identity
+    with pytest.raises(GroupValidationError, match="element 0 does not act as the identity"):
+        group_from_cayley([[1, 0], [0, 1]])
+
+
+def test_from_cayley_rejects_entries_out_of_range():
+    for table in ([[0, 1], [1, 2]], [[0, 1], [1, -1]]):
+        with pytest.raises(GroupValidationError, match="Cayley table entries out of range"):
+            group_from_cayley(table)
+
+
 def test_from_cayley_rejects_nonassociative():
     # a Latin square (quasigroup) that is not a group: build from a loop of order 5
     table = [
@@ -105,6 +122,35 @@ def test_subgroups_s3_against_brute_force():
     assert a3 in normals
 
 
+def _brute_force_normal(group, elems):
+    return all(group.mul(group.mul(g, h), group.inv(g)) in elems
+               for g in range(group.order) for h in elems)
+
+
+def _brute_force_classes(group):
+    orbits = {tuple(sorted({group.mul(group.mul(h, g), group.inv(h))
+                            for h in range(group.order)}))
+              for g in range(group.order)}
+    return sorted(list(c) for c in orbits)
+
+
+@pytest.mark.parametrize("group", [dihedral_group(4), cyclic_group(8)], ids=["D4", "C8"])
+def test_subgroups_normality_and_classes_against_brute_force(group):
+    brute = []
+    for r in range(1, group.order + 1):
+        for subset in itertools.combinations(range(group.order), r):
+            closed = all(group.mul(a, b) in subset for a in subset for b in subset)
+            if 0 in subset and closed:
+                brute.append(subset)
+    assert subgroups(group) == sorted(brute)
+    for subset in itertools.combinations(range(group.order), 3):
+        assert is_subgroup(group, subset) == (subset in brute)
+    normal = [h for h in brute if _brute_force_normal(group, h)]
+    assert [h for h in brute if is_normal(group, h)] == normal
+    assert normal_subgroups(group) == sorted(normal)
+    assert sorted(group.conjugacy_classes()) == _brute_force_classes(group)
+
+
 def test_subgroups_c4():
     c4 = cyclic_group(4)
     assert subgroups(c4) == [(0,), (0, 1, 2, 3), (0, 2)]
@@ -131,6 +177,44 @@ def test_cyclic_irreps_orthogonality():
     c6 = cyclic_group(6)
     table = cyclic_irreps(c6)
     assert table.dims == (1,) * 6
+
+
+def test_cyclic_irreps_are_the_scalar_powers():
+    for n in (5, 12, 48):
+        c = cyclic_group(n)
+        omega = np.exp(2j * np.pi / n)
+        for j, r in enumerate(cyclic_irreps(c).irreps):
+            assert r.matrices.shape == (n, 1, 1)
+            assert all(r.matrices[g, 0, 0] == omega ** (j * g) for g in range(n))
+
+
+def _c_table(n, chars):
+    return IrrepTable(cyclic_group(n), [
+        Irrep(f"chi{j}", 1, np.asarray(v, dtype=complex).reshape(n, 1, 1))
+        for j, v in enumerate(chars)
+    ])
+
+
+def test_irrep_table_rejects_broken_representations():
+    w = np.exp(2j * np.pi / 3)
+    with pytest.raises(GroupValidationError, match="irrep chi1 is not unitary at 1"):
+        _c_table(2, [[1, 1], [1, 2]])
+    # unitary scalars that break the group law
+    with pytest.raises(GroupValidationError, match="irrep chi1 is not a homomorphism"):
+        _c_table(3, [[1, 1, 1], [1, w, w], [1, w * w, w]])
+    # the first element in index order decides which law is reported
+    with pytest.raises(GroupValidationError, match="irrep chi1 is not a homomorphism"):
+        _c_table(3, [[1, 1, 1], [1, w, 2], [1, w * w, w]])
+    with pytest.raises(GroupValidationError, match="irrep chi1 is not unitary at 1"):
+        _c_table(3, [[1, 1, 1], [1, 2, w], [1, w * w, w]])
+    with pytest.raises(GroupValidationError, match="character orthogonality fails"):
+        _c_table(2, [[1, 1], [1, 1]])
+
+
+def test_permutation_matrices():
+    for n in (1, 3, 4):
+        group = symmetric_group(n)
+        assert np.array_equal(permutation_matrices(group), perm_rep_matrices(group))
 
 
 def test_s3_irreps():

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import qergodic.walks as walks
 from qergodic.blocks import DomainError, random_element, random_positive
 from qergodic.catalog import (
     chi_subgroup,
@@ -86,17 +85,13 @@ def test_classical_c2_group_law(f_c2):
 
 
 def test_van_daele_identity(f_s3, dual_s3, kp):
-    walks.vandaele_debug = True
-    try:
-        for entry in (f_s3, dual_s3, kp):
-            for _ in range(20):
-                nu = random_state(entry, RNG)
-                mu = random_state(entry, RNG)
-                out = convolve(nu, mu)  # debug mode cross-checks internally
-                boxed = entry.box_convolve(nu.density, mu.density)
-                assert (out.density - boxed).norm_inf() < 1e-10
-    finally:
-        walks.vandaele_debug = False
+    for entry in (f_s3, dual_s3, kp):
+        for _ in range(20):
+            nu = random_state(entry, RNG)
+            mu = random_state(entry, RNG)
+            out = convolve(nu, mu)
+            boxed = entry.box_convolve(nu.density, mu.density)
+            assert (out.density - boxed).norm_inf() < 1e-10
 
 
 def test_convolution_power_basics(f_s3):
