@@ -194,7 +194,7 @@ class AlgebraElement:
 
     def norm_inf(self):
         """Operator norm: the largest singular value over all blocks."""
-        return max(np.linalg.svd(s, compute_uv=False).max() for s in _stacks(self))
+        return max(_singular_values(s).max() for s in _stacks(self))
 
     def is_hermitian(self, tol=POSITIVITY_TOL):
         return (self - self.adjoint()).norm_inf() <= tol
@@ -209,8 +209,18 @@ def _stacks(a):
     return [c[idx] for _, _, idx in a.structure.size_classes]
 
 
-def _hermitian(stack):
-    return (stack + stack.conj().swapaxes(-1, -2)) / 2
+def _singular_values(stack):
+    """Singular values of each block of an (m, n, n) stack, as an (m, n) array."""
+    if stack.shape[-1] == 1:
+        return np.abs(stack[:, :, 0])
+    return np.linalg.svd(stack, compute_uv=False)
+
+
+def _eigh(stack):
+    """Eigenvalues (m, n), ascending, and eigenvectors (m, n, n) of each block's Hermitian part."""
+    if stack.shape[-1] == 1:
+        return stack.real[:, :, 0], np.ones_like(stack)
+    return np.linalg.eigh((stack + stack.conj().swapaxes(-1, -2)) / 2)
 
 
 class LinearFunctional:
@@ -325,7 +335,7 @@ def is_positive(a, tol=POSITIVITY_TOL):
     """Hermitian within ``tol`` and all block eigenvalues >= -tol."""
     if not a.is_hermitian(tol):
         return False
-    return not any(np.linalg.eigvalsh(_hermitian(s)).min() < -tol for s in _stacks(a))
+    return not any(_eigh(s)[0].min() < -tol for s in _stacks(a))
 
 
 def is_projection(a, tol=POSITIVITY_TOL):
@@ -348,7 +358,7 @@ def spectral_decomposition(a, cluster_tol=CLUSTER_TOL, herm_tol=POSITIVITY_TOL):
     lam = np.empty(sum(st.dims))
     eigs = []
     for (n, ids, idx), s in zip(st.size_classes, _stacks(a)):
-        vals, vecs = np.linalg.eigh(_hermitian(s))
+        vals, vecs = _eigh(s)
         slots = first[ids][:, None] + np.arange(n)
         lam[slots] = vals
         eigs.append((slots, idx, vecs))
@@ -389,7 +399,7 @@ def abs_element(a, herm_tol=POSITIVITY_TOL):
     def blockwise(elem, transform):
         out = np.empty(elem.structure.dim, dtype=complex)
         for (_, _, idx), s in zip(elem.structure.size_classes, _stacks(elem)):
-            vals, vecs = np.linalg.eigh(_hermitian(s))
+            vals, vecs = _eigh(s)
             out[idx] = (vecs * transform(vals)[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
         return AlgebraElement._own(elem.structure, out)
 
@@ -407,7 +417,7 @@ def lp_norms(a, weights):
     weights = np.asarray(weights, dtype=float)
     l1 = l2sq = linf = 0.0
     for (_, ids, _), stack in zip(a.structure.size_classes, _stacks(a)):
-        s = np.linalg.svd(stack, compute_uv=False)
+        s = _singular_values(stack)
         l1 += weights[ids] @ s.sum(axis=1)
         l2sq += weights[ids] @ (s * s).sum(axis=1)
         linf = max(linf, s.max())

@@ -25,6 +25,7 @@ from .walks import (
     convolution_power,
     convolve,
     haar_state,
+    settled_power,
     spectrum_peripheral,
     stochastic_operator,
     support_projection,
@@ -301,6 +302,8 @@ def zhang_criterion(nu, tol=1e-9):
     When nu(eta) > 0 every eigenvalue of T lies in the closed ball of radius
     1 - nu(eta) centred at nu(eta), so the powers (T^k) converge; the report
     carries the verified ball containment and the computed limit state.
+    When the powers settle too slowly to be computed within roundoff,
+    ``settled_power`` raises NumericError.
     """
     group = nu.group
     nu_eta = float(nu.expect(group.haar_element).real)
@@ -310,19 +313,10 @@ def zhang_criterion(nu, tol=1e-9):
     report = ZhangReport(nu_eta=nu_eta, applies=nu_eta > 1e-12, spectral_ball_ok=ball_ok)
     if not report.applies:
         return report
-    P = T.matrix.copy()
-    converged = False
-    for _ in range(200):
-        P2 = P @ P
-        if np.abs(P2 - P).max() < 1e-11:
-            converged = True
-            P = P2
-            break
-        P = P2
-    report.converges = converged
-    if converged:
-        report.limit = WalkState.from_functional_coeffs(group, P.T @ group.counit.coeffs,
-                                                        check=nu.checked)
+    P = settled_power(T.matrix)
+    report.converges = True
+    report.limit = WalkState.from_functional_coeffs(group, P.T @ group.counit.coeffs,
+                                                    check=nu.checked)
     return report
 
 

@@ -22,6 +22,7 @@ from .blocks import (
     support_of_positive,
 )
 STATE_TOL = 1e-9
+AGREEMENT_TOL = 1e-9  # spectral vs iterative Cesaro limit, and the most settled_power may err
 
 
 class NumericError(RuntimeError):
@@ -231,38 +232,51 @@ def _cesaro_spectral(T):
     return V @ np.linalg.solve(gram, W.conj().T)
 
 
-def _cesaro_iterative(T, tol=1e-12, max_iter=10 ** 6):
-    """Iterated averaging M <- (M + T M)/2 until successive averages settle.
+def settled_power(M):
+    """lim M^(2^k) by repeated squaring, for M whose powers converge.
 
-    The iterates are ((I + T)/2)^k, whose spectrum sits strictly inside the
-    unit disc except at 1, so they converge geometrically to the same
-    eigenvalue-1 projection the spectral route computes -- including for
-    periodic walks, where plain powers of T do not converge at all.
+    Each squaring at most doubles the roundoff carried by the eigenvalue-1
+    part, so after k squarings the entries are known only to about
+    2^k * D * eps (D the size of M, eps the machine epsilon).  The first
+    square whose step falls below max(1e-12, 2^k * D * eps) is accepted; once
+    that floor passes ``AGREEMENT_TOL`` no later square can be trusted to it,
+    and NumericError is raised instead.
     """
-    M = T.copy()
-    for _ in range(max_iter):
-        M2 = 0.5 * (M + T @ M)
-        if np.abs(M2 - M).max() < tol:
+    unit_roundoff = M.shape[0] * np.finfo(float).eps
+    k = 1
+    step = np.inf
+    while (floor := 2.0 ** k * unit_roundoff) <= AGREEMENT_TOL:
+        M2 = M @ M
+        step = np.abs(M2 - M).max()
+        if step < max(1e-12, floor):
             return M2
         M = M2
-    raise NumericError("Cesaro averaging did not converge")
+        k += 1
+    raise NumericError(
+        f"powers did not settle in {k - 1} squarings: last step {step:.1e}, "
+        f"roundoff floor {floor:.1e} passes the {AGREEMENT_TOL:.0e} gate"
+    )
 
 
 def cesaro_limit(nu):
     """Limit of (1/n) sum nu^(*k) and the support of the limit.
 
-    Computed twice -- spectral projection onto eigenvalue 1, and iterated
-    averaging -- and the two must agree within 1e-9.  The limit is verified
-    idempotent and its support group-like.
+    Computed twice -- spectral projection onto eigenvalue 1, and powers of
+    the averaged operator (I + T)/2 -- and the two must agree within
+    ``AGREEMENT_TOL``.  The limit is verified idempotent and its support
+    group-like.
     """
     group = nu.group
     T = stochastic_operator(nu).matrix
     P_spec = _cesaro_spectral(T)
-    P_iter = _cesaro_iterative(T)
+    # the spectrum of (I + T)/2 sits strictly inside the unit disc except at
+    # 1, so its powers converge to the eigenvalue-1 projection even for
+    # periodic walks, where plain powers of T do not converge at all
+    P_iter = settled_power(0.5 * (np.eye(T.shape[0]) + T))
     eps = group.counit.coeffs
     c_spec = P_spec.T @ eps
     c_iter = P_iter.T @ eps
-    if np.abs(c_spec - c_iter).max() > 1e-9:
+    if np.abs(c_spec - c_iter).max() > AGREEMENT_TOL:
         raise NumericError("spectral and iterative Cesaro limits disagree")
     limit = WalkState.from_functional_coeffs(group, c_spec, check=True, label="cesaro limit")
     support = support_of_positive(limit.density, 1e-8)

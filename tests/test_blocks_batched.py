@@ -1,8 +1,8 @@
 """Batched block operations against per-block references written out here.
 
-The library makes one batched LAPACK call per block size; each reference below
-loops over the blocks one at a time, as a direct transcription of the
-definition, and the two must agree to 1e-12.
+The library makes one batched LAPACK call per block size (a closed form for
+1x1 blocks); each reference below loops over the blocks one at a time, as a
+direct transcription of the definition, and the two must agree to 1e-12.
 """
 
 import numpy as np

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from qergodic.catalog import (
     dual_subgroup_state,
     function_algebra,
     kp_pure_state,
+    state_from_positive_definite,
 )
 from qergodic.ergodicity import (
     baraquin_check,
@@ -21,8 +24,9 @@ from qergodic.ergodicity import (
     zhang_criterion,
 )
 from qergodic.hopf import UnsupportedError
-from qergodic.groups import subgroups, symmetric_group
+from qergodic.groups import cyclic_group, permutation_matrices, subgroups, symmetric_group
 from qergodic.walks import (
+    NumericError,
     convolution_power,
     counit_state,
     haar_state,
@@ -194,6 +198,46 @@ def test_zhang_ball_on_random_states(f_s3, kp):
             report = zhang_criterion(nu)
             if report.applies:
                 assert report.spectral_ball_ok
+
+
+def test_slow_dual_walk_cesaro_routes_agree(dual_s3, s3):
+    # u((23)) = 0.9983: the averaged operator contracts at a rate within about
+    # 1e-3 of 1, where a fixed 1e-12 stopping step left an error above 1e-9
+    xi = np.array([-0.1213, -0.7222, -0.6810])
+    nu = state_from_positive_definite(dual_s3, permutation_matrices(s3), xi / np.linalg.norm(xi))
+    with np.errstate(over="raise", invalid="raise"):
+        assert classify(nu).tag == "ergodic"
+    assert freslon_check(nu).ergodic
+
+
+@pytest.mark.parametrize("n, weights", [
+    (8, {2: 0.5 - 1e-5, 6: 0.5, 1: 1e-5}),  # near-reducible
+    (4, {0: 1e-10, 1: 1 - 1e-10}),  # near-periodic
+    (4, {0: 1e-12, 1: 1 - 1e-12}),
+])
+def test_slow_walks_end_promptly(n, weights):
+    nu = classical_state(function_algebra(cyclic_group(n)), ("weights", weights))
+    start = time.perf_counter()
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            assert classify(nu).tag in ("ergodic", "reducible", "periodic")
+        except NumericError:
+            pass
+    assert time.perf_counter() - start < 1.0
+
+
+def test_zhang_slow_walk_refuses_without_overflow(f_c4):
+    # nu(eta) = eps > 0 guarantees convergence, at a rate 1 - 2 eps too slow to
+    # reach within the roundoff floor of repeated squaring; at eps = 1e-12 the
+    # first squares barely move and must not pass for the limit
+    with np.errstate(over="raise", invalid="raise"):
+        for eps in (1e-6, 1e-12):
+            nu = classical_state(f_c4, ("weights", {0: eps, 1: 1 - eps}))
+            with pytest.raises(NumericError, match="did not settle"):
+                zhang_criterion(nu)
+        lazy = zhang_criterion(classical_state(f_c4, ("weights", {0: 1e-4, 1: 1 - 1e-4})))
+    assert lazy.converges
+    assert total_variation(lazy.limit, haar_state(f_c4)) < 1e-9
 
 
 def test_freslon_perm_witness(perm_state, s3):

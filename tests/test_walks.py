@@ -9,6 +9,7 @@ from qergodic.catalog import (
     function_algebra,
 )
 from qergodic.walks import (
+    NumericError,
     WalkState,
     cesaro_limit,
     convolution_power,
@@ -17,6 +18,7 @@ from qergodic.walks import (
     distances_to_random,
     haar_state,
     random_state,
+    settled_power,
     spectrum_peripheral,
     state_from_density,
     stochastic_operator,
@@ -379,6 +381,18 @@ def test_cesaro_limit_of_periodic_dual_walk(dual_s3, perm_state, s3):
     _, support2 = cesaro_limit(convolution_power(perm_state, 2))
     chi = chi_subgroup(dual_s3, [0, s3.index_of("(12)")])
     assert (support2 - chi).norm_inf() < 1e-8
+
+
+def test_settled_power_limit_and_roundoff_refusal():
+    # a non-normal matrix: eigenvalue 1 and a Jordan block at 1/2
+    M = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 1.0], [0.0, 0.0, 0.5]])
+    with np.errstate(over="raise", invalid="raise"):
+        P = settled_power(M)
+        assert np.abs(P - np.diag([1.0, 0.0, 0.0])).max() < 1e-12
+        # rate 1 - 1e-7 needs about 2^28 steps; the roundoff floor 2^k * 2 * eps
+        # passes 1e-9 after 21 squarings, so the powers are refused
+        with pytest.raises(NumericError, match="roundoff floor .* passes the 1e-09 gate"):
+            settled_power(np.diag([1.0, 1.0 - 1e-7]))
 
 
 def test_spectrum_perm_state(perm_state):
