@@ -305,12 +305,12 @@ class TensorSplit:
     def elem(self, a, b):
         if a.structure != self.left or b.structure != self.right:
             raise ShapeError("factors do not match the tensor split")
-        return AlgebraElement._own(self.product, np.kron(a.coords(), b.coords())[self.perm])
+        return AlgebraElement._own(self.product, np.outer(a.coords(), b.coords()).ravel()[self.perm])
 
     def functional(self, phi, psi):
         if phi.structure != self.left or psi.structure != self.right:
             raise ShapeError("factors do not match the tensor split")
-        return LinearFunctional(self.product, np.kron(phi.coeffs, psi.coeffs)[self.perm])
+        return LinearFunctional(self.product, np.outer(phi.coeffs, psi.coeffs).ravel()[self.perm])
 
     def kron_coords(self, element):
         """Coordinates of a product-structure element in Kronecker order."""

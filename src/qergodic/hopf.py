@@ -24,6 +24,13 @@ from .blocks import (
 
 GROUP_LIKE_TOL = 1e-8
 _REFINE_TOL = 1e-12
+# group-like census: Bloch grid points per angle axis, by the number of rank-1
+# 2x2 blocks in a choice; starts need a grid defect below _START_TOL, and two
+# refined projections closer than _DEDUP_TOL are one
+_GRID = {1: 64, 2: 12}
+_START_TOL = 0.25
+_DEDUP_TOL = 1e-6
+_SCAN_BATCH = 4096
 
 
 class StructuralError(RuntimeError):
@@ -82,6 +89,7 @@ class FiniteQuantumGroup:
         self.comul_kron = comul.matrix[self.split.inv_perm]
         self._haar_data = None
         self._haar_element = None
+        self._right_mult = None
         if validate:
             # fill the Haar caches now so instances can be shared freely
             self._haar_data = self._solve_haar()
@@ -257,10 +265,7 @@ class FiniteQuantumGroup:
 
     def group_like_residual(self, p):
         """Operator norm of Delta(p)(1 (x) p) - p (x) p."""
-        dp = self.comul(p)
-        rhs = self.split.elem(p, p)
-        lhs = dp * self.split.elem(self.unit, p)
-        return (lhs - rhs).norm_inf()
+        return self.split.from_kron_coords(self._group_like_defect_batch(p.coords())[0]).norm_inf()
 
     def _group_like_defect_batch(self, coords):
         """Coordinates of Delta(p)(1 (x) p) - p (x) p for a batch of candidate coords.
@@ -271,11 +276,12 @@ class FiniteQuantumGroup:
         """
         coords = np.atleast_2d(coords)
         D = self.dim
-        C = self.structure.mult_table
+        if self._right_mult is None:
+            # row a holds the (t, l) table of e_t e_a, so coords @ it stacks the R_p
+            self._right_mult = self.structure.mult_table.transpose(1, 0, 2).reshape(D, D * D)
         W = (self.comul_kron @ coords.T).T.reshape(-1, D, D)
-        right = np.einsum("tal,ia->itl", C, coords)
-        lhs = np.einsum("ist,itl->isl", W, right)
-        rhs = np.einsum("is,il->isl", coords, coords)
+        lhs = W @ (coords @ self._right_mult).reshape(-1, D, D)
+        rhs = coords[:, :, None] * coords[:, None, :]
         return (lhs - rhs).reshape(len(coords), D * D)
 
     def is_group_like_projection(self, p, tol=GROUP_LIKE_TOL):
@@ -291,84 +297,76 @@ class FiniteQuantumGroup:
             raise StructuralError("group-like projection not fixed by the antipode")
         return True
 
-    def find_group_like_projections(self, grid=64, dedup_tol=1e-6):
-        """Exhaustive group-like search for structures with blocks of size <= 2.
+    def find_group_like_projections(self):
+        """Group-like search for blocks of size <= 2, at most two of size 2.
 
         Enumerates 0/1 choices on 1x1 blocks and rank 0/1/2 choices on 2x2
-        blocks; rank-1 candidates are swept over a Bloch-sphere grid and
-        refined by least squares on the defining residual.
+        blocks.  The Bloch angles of the rank-1 blocks of a choice are scanned
+        on a grid; every grid point that :func:`_grid_minima` keeps starts a
+        least-squares refinement of the defining residual.  The grid for two
+        rank-1 blocks is coarse, so a projection whose angles fall between its
+        points can be missed.
         """
-        from scipy import optimize
-
         dims = self.structure.dims
         if any(n > 2 for n in dims):
             raise UnsupportedError(
                 "group-like search supports block dimensions <= 2 only"
             )
-
-        def assemble_coords(choice, angles):
-            # choice: per block, 0 / 1 (1x1) or 0 / "s" / 2 (2x2); angles per "s" block
-            coords = np.zeros(self.structure.dim, dtype=complex)
-            ai = 0
-            for i, n in enumerate(dims):
-                c = choice[i]
-                off = self.structure.offsets[i]
-                if n == 1:
-                    coords[off] = c
-                elif c == "s":
-                    th, ph = angles[2 * ai], angles[2 * ai + 1]
-                    ai += 1
-                    nx = np.sin(th) * np.cos(ph)
-                    ny = np.sin(th) * np.sin(ph)
-                    nz = np.cos(th)
-                    coords[off:off + 4] = 0.5 * np.array(
-                        [1 + nz, nx - 1j * ny, nx + 1j * ny, 1 - nz]
-                    )
-                elif c == 2:
-                    coords[off] = coords[off + 3] = 1.0
-            return coords
-
-        def residual_vec(choice, angles):
-            defect = self._group_like_defect_batch(assemble_coords(choice, angles))[0]
-            return np.concatenate([defect.real, defect.imag])
+        if dims.count(2) > len(_GRID):
+            raise UnsupportedError(
+                f"group-like search supports at most {len(_GRID)} blocks of dimension 2"
+            )
+        if 2 ** dims.count(1) * 3 ** dims.count(2) > 2 ** 20:
+            raise UnsupportedError("too many block sign combinations to enumerate")
 
         found = []
 
         def record(coords):
             p = self.structure.from_coords(coords)
             for q in found:
-                if (p - q).norm_inf() < dedup_tol:
+                if (p - q).norm_inf() < _DEDUP_TOL:
                     return
             found.append(p)
 
-        per_block = []
-        for n in dims:
-            per_block.append((0, 1) if n == 1 else (0, "s", 2))
-        n_combos = int(np.prod([len(c) for c in per_block]))
-        if n_combos > 2 ** 20:
-            raise UnsupportedError("too many block sign combinations to enumerate")
+        def residual(angles, base, offsets):
+            defect = self._group_like_defect_batch(_bloch_assemble(base, offsets, angles))[0]
+            return np.concatenate([defect.real, defect.imag])
+
+        per_block = [(0, 1) if n == 1 else (0, "s", 2) for n in dims]
         for choice in itertools.product(*per_block):
-            spheres = sum(1 for c in choice if c == "s")
-            if all(c == 0 for c in choice):
+            if not any(choice):
                 continue
-            if spheres == 0:
-                coords = assemble_coords(choice, ())
-                if np.linalg.norm(self._group_like_defect_batch(coords)[0]) <= 1e-10:
-                    record(coords)
+            base = np.zeros(self.structure.dim, dtype=complex)
+            spheres = []
+            for off, n, c in zip(self.structure.offsets, dims, choice):
+                if c == "s":
+                    spheres.append(off)
+                elif c:
+                    base[off:off + n * n:n + 1] = 1.0  # the unit of the block
+            if not spheres:
+                if np.linalg.norm(self._group_like_defect_batch(base)[0]) <= 1e-10:
+                    record(base)
                 continue
-            starts = self._sphere_starts(
-                lambda batch: self._group_like_defect_batch(batch),
-                lambda angles: assemble_coords(choice, angles),
-                spheres, grid,
-            )
-            for angles in starts:
+            from scipy import optimize  # only rank-1 2x2 choices need it
+
+            offsets = np.array(spheres)
+            g = _GRID[len(spheres)]
+            axes = [np.linspace(0.0, np.pi, g), np.linspace(0.0, 2 * np.pi, g, endpoint=False)]
+            grid = np.stack(np.meshgrid(*axes * len(spheres), indexing="ij"), axis=-1)
+            points = grid.reshape(-1, 2 * len(spheres))
+            # bounded batches keep the defect arrays small on the two-block grid
+            vals = np.concatenate([
+                np.linalg.norm(self._group_like_defect_batch(
+                    _bloch_assemble(base, offsets, part)), axis=1)
+                for part in np.array_split(points, -(-len(points) // _SCAN_BATCH))
+            ])
+            for start in grid[_grid_minima(vals.reshape(grid.shape[:-1]))]:
                 sol = optimize.least_squares(
-                    lambda x: residual_vec(choice, x),
-                    np.array(angles, dtype=float),
+                    residual, start, args=(base, offsets),
                     xtol=1e-15, ftol=1e-15, gtol=1e-15, method="lm",
                 )
                 if np.linalg.norm(sol.fun) <= _REFINE_TOL:
-                    record(assemble_coords(choice, sol.x))
+                    record(_bloch_assemble(base, offsets, sol.x)[0])
 
         for p in found:
             if not self.is_group_like_projection(p, GROUP_LIKE_TOL):
@@ -378,45 +376,6 @@ class FiniteQuantumGroup:
         found.sort(key=lambda p: tuple(np.round(p.coords().real, 6))
                    + tuple(np.round(p.coords().imag, 6)))
         return found
-
-    @staticmethod
-    def _sphere_starts(defect_batch, assemble, spheres, grid):
-        """Grid-scan the Bloch angles and return refinement starting points.
-
-        For a single sphere this returns every local minimum of the grid x grid
-        residual surface (phi wraps around); with several spheres it falls back
-        to a coarser grid with a plain residual threshold.
-        """
-        if spheres == 1:
-            thetas = np.linspace(0.0, np.pi, grid)
-            phis = np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
-            batch = np.array([
-                assemble((th, ph)) for th in thetas for ph in phis
-            ])
-            vals = np.linalg.norm(defect_batch(batch), axis=1).reshape(grid, grid)
-            starts = []
-            for a in range(grid):
-                for b in range(grid):
-                    v = vals[a, b]
-                    neighbors = []
-                    if a > 0:
-                        neighbors.append(vals[a - 1, b])
-                    if a < grid - 1:
-                        neighbors.append(vals[a + 1, b])
-                    neighbors.append(vals[a, (b - 1) % grid])
-                    neighbors.append(vals[a, (b + 1) % grid])
-                    if v < 0.25 and all(v <= nb for nb in neighbors):
-                        starts.append((thetas[a], phis[b]))
-            return starts
-        g = max(8, int(round(grid ** (1.0 / spheres))))
-        thetas = np.linspace(0.0, np.pi, g)
-        phis = np.linspace(0.0, 2 * np.pi, g, endpoint=False)
-        axes = [ax for _ in range(spheres) for ax in (thetas, phis)]
-        all_angles = list(itertools.product(*axes))
-        batch = np.array([assemble(angles) for angles in all_angles])
-        vals = np.linalg.norm(defect_batch(batch), axis=1)
-        order = np.argsort(vals)
-        return [all_angles[i] for i in order[:128] if vals[i] < 0.25]
 
     # -- convolution on the algebra ----------------------------------------------
 
@@ -430,3 +389,39 @@ class FiniteQuantumGroup:
 
     def __repr__(self):
         return f"FiniteQuantumGroup({self.label!r}, dims={self.structure.dims})"
+
+
+def _bloch_assemble(base, offsets, angles):
+    """Candidate coordinates for each row (theta_1, phi_1, ..., theta_k, phi_k) of ``angles``.
+
+    Copies ``base`` and writes into the 2x2 block at coordinate offset
+    offsets[j] the rank-1 projection 0.5 [[1 + nz, nx - i ny], [nx + i ny, 1 - nz]]
+    onto the Bloch vector n = (sin theta cos phi, sin theta sin phi, cos theta)
+    of the j-th angle pair; returns an (N, D) array.
+    """
+    angles = np.atleast_2d(angles)
+    th, ph = angles[:, 0::2], angles[:, 1::2]
+    nx, ny, nz = np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)
+    coords = np.tile(base, (len(angles), 1))
+    coords[:, offsets[:, None] + np.arange(4)] = 0.5 * np.stack(
+        [1 + nz, nx - 1j * ny, nx + 1j * ny, 1 - nz], axis=-1
+    )
+    return coords
+
+
+def _grid_minima(vals):
+    """Mask of the grid points that start a refinement of the group-like residual.
+
+    ``vals`` has one axis per Bloch angle, alternating theta and phi.  A point
+    is kept when its value is below _START_TOL and no larger than either
+    neighbour along every axis; theta axes end at the poles, phi axes wrap.
+    """
+    keep = vals < _START_TOL
+    for axis in range(vals.ndim):
+        for shift in (1, -1):
+            neighbour = np.roll(vals, shift, axis)
+            if axis % 2 == 0:
+                # the value rolled in came from the other pole: no neighbour there
+                np.moveaxis(neighbour, axis, 0)[0 if shift == 1 else -1] = np.inf
+            keep &= vals <= neighbour
+    return keep

@@ -152,7 +152,7 @@ def convolve(nu, mu):
     if nu.group is not mu.group and nu.group.structure != mu.group.structure:
         raise ShapeError("states live on different quantum groups")
     group = nu.group
-    coeffs = group.comul_kron.T @ np.kron(nu.functional.coeffs, mu.functional.coeffs)
+    coeffs = group.comul_kron.T @ np.outer(nu.functional.coeffs, mu.functional.coeffs).ravel()
     return WalkState.from_functional_coeffs(group, coeffs, check=nu.checked and mu.checked)
 
 

@@ -1,19 +1,32 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qergodic
+
 from qergodic.blocks import (
     AlgebraMap,
+    BlockStructure,
     DomainError,
     is_projection,
     p_norm,
     random_element,
     random_positive,
 )
-from qergodic.catalog import chi_subgroup, group_algebra
-from qergodic.groups import subgroups, symmetric_group
-from qergodic.hopf import FiniteQuantumGroup, StructuralError, UnsupportedError
+from qergodic.catalog import chi_subgroup, function_algebra, group_algebra
+from qergodic.groups import (
+    Irrep,
+    IrrepTable,
+    cyclic_group,
+    dihedral_group,
+    group_from_cayley,
+    subgroups,
+)
+from qergodic.hopf import FiniteQuantumGroup, StructuralError, UnsupportedError, _bloch_assemble
 
 RNG = np.random.default_rng(777)
 
@@ -142,40 +155,101 @@ def test_group_like_requires_projection(f_s3):
         f_s3.is_group_like_projection(0.5 * f_s3.unit)
 
 
-def test_classical_census_is_subgroup_indicators(f_s3, s3):
-    found = f_s3.find_group_like_projections()
-    expected = []
-    for H in subgroups(s3):
-        coords = np.zeros(6)
-        coords[list(H)] = 1.0
-        expected.append(f_s3.structure.from_coords(coords))
-    assert len(found) == len(expected) == 6
-    for p in found:
-        assert min((p - q).norm_inf() for q in expected) < 1e-8
-    # independent cross-check: every subset indicator that is group-like is a subgroup
-    for bits in itertools.product((0.0, 1.0), repeat=6):
-        if not any(bits):
-            continue
-        p = f_s3.structure.from_coords(np.array(bits))
-        if f_s3.is_group_like_projection(p, 1e-8):
-            support = tuple(i for i, b in enumerate(bits) if b)
-            assert support in subgroups(s3)
+def quaternion_group():
+    """Q8 from its Cayley table: +-1, +-i, +-j, +-k as 2x2 complex matrices."""
+    i, j = np.diag([1j, -1j]), np.array([[0, 1], [-1, 0]])
+    mats = np.array([s * m for s in (1, -1) for m in (np.eye(2), i, j, i @ j)])
+    prods = mats[:, None] @ mats[None, :]
+    table = np.abs(prods[:, :, None] - mats).sum(axis=(3, 4)).argmin(axis=2)
+    return group_from_cayley(table, label="Q8")
 
 
-def test_dual_census_is_chi_H(dual_s3, s3):
-    found = dual_s3.find_group_like_projections()
-    chis = [chi_subgroup(dual_s3, H) for H in subgroups(s3)]
-    assert len(found) == 6
-    for p in found:
-        assert min((p - q).norm_inf() for q in chis) < 1e-8
+def dihedral5_dual():
+    """C[D5] from trivial, sign and the rotation/reflection representations rho1, rho2.
+
+    Blocks (1, 1, 2, 2): the census has to place two rank-1 2x2 blocks at once.
+    """
+    d5 = dihedral_group(5)
+    sign = np.repeat([1.0, -1.0], 5).reshape(10, 1, 1)
+    irreps = [Irrep("trivial", 1, np.ones((10, 1, 1), dtype=complex)),
+              Irrep("sign", 1, sign + 0j)]
+    for k in (1, 2):
+        a = 2 * np.pi * k * np.arange(5) / 5
+        rot = np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]]).transpose(2, 0, 1)
+        # dihedral_group has s_i = r_i s_0, and s_0 is the reflection diag(1, -1)
+        mats = np.concatenate([rot, rot @ np.diag([1.0, -1.0])])
+        irreps.append(Irrep(f"rho{k}", 2, mats + 0j))
+    return group_algebra(d5, IrrepTable(d5, irreps))
+
+
+def test_classical_census_is_subgroup_indicators(s3):
+    for group, count in ((s3, 6), (dihedral_group(4), 10), (quaternion_group(), 6)):
+        fg = function_algebra(group)
+        n = group.order
+        found = fg.find_group_like_projections()
+        expected = []
+        for H in subgroups(group):
+            coords = np.zeros(n)
+            coords[list(H)] = 1.0
+            expected.append(fg.structure.from_coords(coords))
+        assert len(found) == len(expected) == count
+        for p in found:
+            assert min((p - q).norm_inf() for q in expected) < 1e-8
+        # independent cross-check: every subset indicator that is group-like is a subgroup
+        for bits in itertools.product((0.0, 1.0), repeat=n):
+            if not any(bits):
+                continue
+            p = fg.structure.from_coords(np.array(bits))
+            if fg.is_group_like_projection(p, 1e-8):
+                support = tuple(i for i, b in enumerate(bits) if b)
+                assert support in subgroups(group)
+
+
+def test_dual_census_is_chi_H(dual_s3):
+    # C[D5] has two 2x2 blocks; its five {e, s_i} projections are rank 1 in both
+    for dual, count in ((dual_s3, 6), (group_algebra(cyclic_group(4)), 3),
+                        (group_algebra(cyclic_group(6)), 4), (dihedral5_dual(), 8)):
+        found = dual.find_group_like_projections()
+        chis = [chi_subgroup(dual, H) for H in subgroups(dual.realization.group)]
+        assert len(found) == len(chis) == count
+        for q in chis:
+            assert min((p - q).norm_inf() for p in found) < 1e-8
 
 
 def test_group_like_search_rejects_large_blocks():
-    dual = group_algebra(symmetric_group(3))
-    big = FiniteQuantumGroup.__new__(FiniteQuantumGroup)  # only structure is consulted
-    big.structure = type(dual.structure)([1, 3])
-    with pytest.raises(UnsupportedError):
-        FiniteQuantumGroup.find_group_like_projections(big)
+    # a 3x3 block; three 2x2 blocks (refused before any grid is built); 2^64
+    # choices, whose count must not wrap around in fixed-width integers
+    for dims in ([1, 3], [1, 1, 2, 2, 2], [1] * 64):
+        big = FiniteQuantumGroup.__new__(FiniteQuantumGroup)  # only structure is consulted
+        big.structure = BlockStructure(dims)
+        with pytest.raises(UnsupportedError):
+            FiniteQuantumGroup.find_group_like_projections(big)
+
+
+def test_bloch_assembly_matches_per_point_formula():
+    structure = BlockStructure([1, 2, 2])
+    base = random_element(structure, RNG).coords()
+    offsets = np.array([1, 5])
+    angles = RNG.uniform(0.0, 2 * np.pi, size=(50, 4))
+    coords = _bloch_assemble(base, offsets, angles)
+    for row, (t1, p1, t2, p2) in zip(coords, angles):
+        expected = base.copy()
+        for off, th, ph in ((1, t1, p1), (5, t2, p2)):
+            nx, ny, nz = np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)
+            expected[off:off + 4] = 0.5 * np.array([1 + nz, nx - 1j * ny, nx + 1j * ny, 1 - nz])
+        assert np.abs(row - expected).max() <= 1e-15
+
+
+def test_census_without_2x2_blocks_leaves_scipy_optimize_unloaded():
+    src = os.path.dirname(os.path.dirname(qergodic.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys; from qergodic.catalog import function_algebra; "
+            "from qergodic.groups import symmetric_group; "
+            "found = function_algebra(symmetric_group(3)).find_group_like_projections(); "
+            "print(len(found), 'scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.split() == ["6", "False"]
 
 
 def test_group_like_consequences(dual_s3, s3):
