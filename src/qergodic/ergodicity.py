@@ -17,7 +17,7 @@ import numpy as np
 
 from .blocks import DomainError, hermitian_part, spectral_decomposition
 from .catalog import ClassicalRealization, DualRealization
-from .groups import subgroups
+from .groups import GroupValidationError, subgroups
 from .hopf import UnsupportedError
 from .walks import (
     WalkState,
@@ -339,9 +339,13 @@ def freslon_check(u):
         raise UnsupportedError("the character criterion applies to group algebras only")
     group = real.group
     values = real.u_values(u)
+    try:
+        candidates = subgroups(group)
+    except GroupValidationError as exc:
+        raise UnsupportedError(f"the character criterion on {group.label}: {exc}") from exc
     witness = None
     # scan from the largest subgroup down so the reported witness is maximal
-    for H in sorted(subgroups(group), key=lambda h: (-len(h), h)):
+    for H in sorted(candidates, key=lambda h: (-len(h), h)):
         if len(H) <= 1:
             continue
         if any(abs(abs(values[h]) - 1.0) > 1e-9 for h in H):

@@ -21,6 +21,7 @@ from .blocks import (
     TensorSplit,
     is_projection,
 )
+from .groups import FiniteGroup, GroupValidationError, subgroups
 
 GROUP_LIKE_TOL = 1e-8
 _REFINE_TOL = 1e-12
@@ -179,20 +180,37 @@ class FiniteQuantumGroup:
             raise StructuralError("Haar state is not antipode invariant")
         return haar, tuple(weights.tolist()), coord_weights
 
+    def _character_coords(self):
+        """Coordinates of the 1x1 blocks, the one on which the counit is 1 first."""
+        ones = np.array(self.structure.offsets[:-1])[np.array(self.structure.dims) == 1]
+        hits = np.abs(self.counit.coeffs[ones] - 1.0) <= 1e-9
+        if hits.sum() != 1:
+            raise StructuralError(
+                f"found {hits.sum()} one-dimensional factors with counit value 1, expected 1"
+            )
+        return np.concatenate([ones[hits], ones[~hits]])
+
     def _find_haar_element(self):
         """The minimal central projection spanning the counit's one-dimensional factor."""
-        hits = []
-        for i, n in enumerate(self.structure.dims):
-            if n != 1:
-                continue
-            z = self.structure.basis_element(self.structure.index(i, 0, 0))
-            if abs(self.counit(z) - 1.0) <= 1e-9:
-                hits.append(z)
-        if len(hits) != 1:
-            raise StructuralError(
-                f"found {len(hits)} one-dimensional factors with counit value 1, expected 1"
-            )
-        return hits[0]
+        return self.structure.basis_element(self._character_coords()[0])
+
+    def character_group(self):
+        """The characters, the evaluations at the 1x1 blocks, as a group under convolution.
+
+        Element k evaluates at, and is named by, coordinate o_k of
+        _character_coords(), so element 0 is the counit.  Row (o_a, o_b) of
+        ``comul_kron`` must be the evaluation at some o_c, and then a * b = c.
+        """
+        coords = self._character_coords()
+        rows = self.comul_kron[(coords[:, None] * self.dim + coords).reshape(-1)]
+        table = np.abs(rows[:, coords]).argmax(axis=1)
+        if np.abs(rows - np.eye(self.dim)[coords[table]]).max() > 1e-9:
+            raise StructuralError("a product of characters is not a character")
+        try:
+            return FiniteGroup(map(str, coords), table.reshape(len(coords), -1),
+                               label=f"characters of {self.label}")
+        except GroupValidationError as exc:
+            raise StructuralError(f"characters do not form a group: {exc}") from exc
 
     # -- axiom verification ----------------------------------------------------
 
@@ -250,12 +268,8 @@ class FiniteQuantumGroup:
         return HopfAxiomReport(residuals)
 
     def is_cocommutative(self, tol=1e-10):
-        D = self.dim
-        worst = 0.0
-        for f in range(D):
-            W = self.comul_kron[:, f].reshape(D, D)
-            worst = max(worst, float(np.abs(W - W.T).max()))
-        return worst <= tol
+        dk3 = self.comul_kron.reshape((self.dim,) * 3)  # [s, t, f]
+        return float(np.abs(dk3 - dk3.transpose(1, 0, 2)).max()) <= tol
 
     def is_commutative(self, tol=1e-10):
         mult = self.structure.mult_table
@@ -300,12 +314,13 @@ class FiniteQuantumGroup:
     def find_group_like_projections(self):
         """Group-like search for blocks of size <= 2, at most two of size 2.
 
-        Enumerates 0/1 choices on 1x1 blocks and rank 0/1/2 choices on 2x2
-        blocks.  The Bloch angles of the rank-1 blocks of a choice are scanned
-        on a grid; every grid point that :func:`_grid_minima` keeps starts a
-        least-squares refinement of the defining residual.  The grid for two
-        rank-1 blocks is coarse, so a projection whose angles fall between its
-        points can be missed.
+        On the 1x1 blocks a group-like projection is the indicator of a
+        subgroup of :meth:`character_group` (order <= 64); tries each of them
+        with rank 0/1/2 choices on 2x2 blocks.  The Bloch angles of the rank-1
+        blocks of a choice are scanned on a grid; every grid point that
+        :func:`_grid_minima` keeps starts a least-squares refinement of the
+        defining residual.  The grid for two rank-1 blocks is coarse, so a
+        projection whose angles fall between its points can be missed.
         """
         dims = self.structure.dims
         if any(n > 2 for n in dims):
@@ -316,8 +331,10 @@ class FiniteQuantumGroup:
             raise UnsupportedError(
                 f"group-like search supports at most {len(_GRID)} blocks of dimension 2"
             )
-        if 2 ** dims.count(1) * 3 ** dims.count(2) > 2 ** 20:
-            raise UnsupportedError("too many block sign combinations to enumerate")
+        try:
+            candidates = subgroups(self.character_group())
+        except GroupValidationError as exc:
+            raise UnsupportedError(f"group-like search over the character group: {exc}") from exc
 
         found = []
 
@@ -332,17 +349,17 @@ class FiniteQuantumGroup:
             defect = self._group_like_defect_batch(_bloch_assemble(base, offsets, angles))[0]
             return np.concatenate([defect.real, defect.imag])
 
-        per_block = [(0, 1) if n == 1 else (0, "s", 2) for n in dims]
-        for choice in itertools.product(*per_block):
-            if not any(choice):
-                continue
+        char_coords = self._character_coords()
+        twos = [off for off, n in zip(self.structure.offsets, dims) if n == 2]
+        for H, *choice in itertools.product(candidates, *[(0, "s", 2)] * len(twos)):
             base = np.zeros(self.structure.dim, dtype=complex)
+            base[char_coords[list(H)]] = 1.0
             spheres = []
-            for off, n, c in zip(self.structure.offsets, dims, choice):
+            for off, c in zip(twos, choice):
                 if c == "s":
                     spheres.append(off)
                 elif c:
-                    base[off:off + n * n:n + 1] = 1.0  # the unit of the block
+                    base[off:off + 4:3] = 1.0  # the unit of the block
             if not spheres:
                 if np.linalg.norm(self._group_like_defect_batch(base)[0]) <= 1e-10:
                     record(base)

@@ -185,6 +185,20 @@ def test_grouplikes_kp(tmp_path):
     assert central.count(False) >= 2
 
 
+def test_grouplikes_up_to_the_subgroup_bound(tmp_path, capsys):
+    # F(C32): 2^32 0/1 choices on its 1x1 blocks, 6 subgroups; F(C65): past the
+    # order-64 bound of subgroup enumeration, a refusal rather than a traceback
+    cfg = {"schema": 1, "group": {"classical": {"family": "cyclic", "n": 32}},
+           "state": {"point": 1}}
+    code, out = run_cli(tmp_path, "grouplikes", cfg)
+    assert code == 0
+    assert json.loads((out / "grouplikes.json").read_text())["count"] == 6
+    cfg["group"]["classical"]["n"] = 65
+    code, _ = run_cli(tmp_path, "grouplikes", cfg)
+    assert code == 3
+    assert "bounded at order 64" in capsys.readouterr().err
+
+
 def test_experiment_probes(tmp_path):
     code, out = run_cli(tmp_path, "experiment", CFG_41)
     assert code == 0

@@ -10,6 +10,7 @@ from qergodic.catalog import (
     classical_state,
     dual_subgroup_state,
     function_algebra,
+    group_algebra,
     kp_pure_state,
     state_from_positive_definite,
 )
@@ -265,6 +266,11 @@ def test_freslon_trivial_rep_witness_is_whole_group(dual_s3, s3):
 def test_freslon_unsupported_on_classical(f_s3):
     with pytest.raises(UnsupportedError):
         freslon_check(haar_state(f_s3))
+
+
+def test_freslon_refuses_past_the_subgroup_bound():
+    with pytest.raises(UnsupportedError, match="bounded at order 64"):
+        freslon_check(haar_state(group_algebra(cyclic_group(65))))
 
 
 def test_baraquin_transposition_walk(f_s3):

@@ -25,6 +25,7 @@ from qergodic.groups import (
     dihedral_group,
     group_from_cayley,
     subgroups,
+    symmetric_group,
 )
 from qergodic.hopf import FiniteQuantumGroup, StructuralError, UnsupportedError, _bloch_assemble
 
@@ -216,10 +217,71 @@ def test_dual_census_is_chi_H(dual_s3):
             assert min((p - q).norm_inf() for p in found) < 1e-8
 
 
+def test_large_classical_census_is_subgroup_indicators():
+    # 2^32 and more 0/1 choices on the 1x1 blocks: only subgroups are tried
+    for group, count in ((cyclic_group(32), 6), (cyclic_group(64), 7),
+                         (symmetric_group(4), 30), (dihedral_group(8), 19)):
+        fg = function_algebra(group)
+        found = np.array([p.coords() for p in fg.find_group_like_projections()])
+        expected = np.zeros((len(subgroups(group)), group.order))
+        for row, H in zip(expected, subgroups(group)):
+            row[list(H)] = 1.0
+        assert len(found) == len(expected) == count
+        assert sorted(map(tuple, found.real)) == sorted(map(tuple, expected))
+        assert not found.imag.any()
+
+
+def test_census_refuses_past_the_subgroup_bound():
+    with pytest.raises(UnsupportedError, match="bounded at order 64"):
+        function_algebra(cyclic_group(65)).find_group_like_projections()
+
+
+def element_orders(group):
+    orders = []
+    for g in range(group.order):
+        k, h = 1, g
+        while h != 0:
+            k, h = k + 1, group.mul(h, g)
+        orders.append(k)
+    return orders
+
+
+def test_character_group_of_a_function_algebra_is_the_group(s3):
+    for group in (s3, dihedral_group(4), quaternion_group()):
+        chars = function_algebra(group).character_group()
+        assert np.array_equal(chars.cayley, group.cayley)
+
+
+def test_character_group_of_duals_and_kp(dual_s3, kp):
+    # KP: the Klein four-group; C[S3]: trivial and sign; C[C6]: cyclic of order 6
+    assert sorted(element_orders(kp.character_group())) == [1, 2, 2, 2]
+    assert dual_s3.character_group().cayley.tolist() == [[0, 1], [1, 0]]
+    assert max(element_orders(group_algebra(cyclic_group(6)).character_group())) == 6
+
+
+def test_character_group_rejects_broken_comultiplication(f_c4):
+    D = f_c4.dim
+    swapped = f_c4.comul_kron.copy()
+    swapped[[1 * D + 2, 1 * D + 3]] = swapped[[1 * D + 3, 1 * D + 2]]
+    perturbed = f_c4.comul_kron.copy()
+    perturbed[1 * D + 2, 0] += 1e-3
+    for kron in (swapped, perturbed):
+        matrix = np.empty_like(kron)
+        matrix[f_c4.split.inv_perm] = kron
+        broken = FiniteQuantumGroup(
+            f_c4.structure,
+            AlgebraMap(f_c4.structure, f_c4.split.product, matrix),
+            f_c4.counit,
+            f_c4.antipode,
+            validate=False,
+        )
+        with pytest.raises(StructuralError):
+            broken.character_group()
+
+
 def test_group_like_search_rejects_large_blocks():
-    # a 3x3 block; three 2x2 blocks (refused before any grid is built); 2^64
-    # choices, whose count must not wrap around in fixed-width integers
-    for dims in ([1, 3], [1, 1, 2, 2, 2], [1] * 64):
+    # a 3x3 block; three 2x2 blocks (refused before any grid is built)
+    for dims in ([1, 3], [1, 1, 2, 2, 2]):
         big = FiniteQuantumGroup.__new__(FiniteQuantumGroup)  # only structure is consulted
         big.structure = BlockStructure(dims)
         with pytest.raises(UnsupportedError):
@@ -244,12 +306,13 @@ def test_census_without_2x2_blocks_leaves_scipy_optimize_unloaded():
     src = os.path.dirname(os.path.dirname(qergodic.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = ("import sys; from qergodic.catalog import function_algebra; "
-            "from qergodic.groups import symmetric_group; "
+            "from qergodic.groups import cyclic_group, symmetric_group; "
             "found = function_algebra(symmetric_group(3)).find_group_like_projections(); "
-            "print(len(found), 'scipy.optimize' in sys.modules)")
+            "wide = function_algebra(cyclic_group(64)).find_group_like_projections(); "
+            "print(len(found), len(wide), 'scipy.optimize' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.split() == ["6", "False"]
+    assert out.stdout.split() == ["6", "7", "False"]
 
 
 def test_group_like_consequences(dual_s3, s3):
