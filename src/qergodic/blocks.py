@@ -210,9 +210,9 @@ def _stacks(a):
 
 
 def _singular_values(stack):
-    """Singular values of each block of an (m, n, n) stack, as an (m, n) array."""
+    """Singular values of each block of an (..., n, n) stack, as an (..., n) array."""
     if stack.shape[-1] == 1:
-        return np.abs(stack[:, :, 0])
+        return np.abs(stack[..., 0])
     return np.linalg.svd(stack, compute_uv=False)
 
 
@@ -408,19 +408,27 @@ def abs_element(a, herm_tol=POSITIVITY_TOL):
     return blockwise(a.adjoint() * a, lambda v: np.sqrt(np.clip(v, 0.0, None)))
 
 
-def lp_norms(a, weights):
-    """(L^1, L^2, L^inf) norms of ``a`` for the tracial state with block weights ``weights``.
+def lp_norms(structure, coords, weights):
+    """(L^1, L^2, L^inf) norms for the tracial state with block weights ``weights``.
 
     For any a, with singular values s of block i: haar(|a|) = sum_i w_i sum s,
     haar(a* a) = sum_i w_i sum s**2 and the operator norm is max s.
+    ``coords`` is one coordinate vector (D,), giving three floats, or a stack
+    (N, D), giving three (N,) arrays from one SVD per size class over all N
+    rows.  Each row's weighted sums are a dot product of their own (``vecdot``,
+    not one matrix-vector product), so a row's norms are bitwise those of the
+    row alone, whatever is stacked with it.
     """
     weights = np.asarray(weights, dtype=float)
     l1 = l2sq = linf = 0.0
-    for (_, ids, _), stack in zip(a.structure.size_classes, _stacks(a)):
-        s = _singular_values(stack)
-        l1 += weights[ids] @ s.sum(axis=1)
-        l2sq += weights[ids] @ (s * s).sum(axis=1)
-        linf = max(linf, s.max())
+    for _, ids, idx in structure.size_classes:
+        s = _singular_values(coords.take(idx, axis=-1))  # (..., m, n)
+        w = weights[ids]
+        l1 = l1 + np.vecdot(s.sum(-1), w)
+        l2sq = l2sq + np.vecdot((s * s).sum(-1), w)
+        linf = np.maximum(linf, s.max((-2, -1)))
+    if coords.ndim > 1:
+        return l1, np.sqrt(l2sq), linf
     return float(l1), float(np.sqrt(l2sq)), float(linf)
 
 
@@ -434,7 +442,8 @@ def p_norm(a, haar, p):
     """
     if p not in (1, 2, np.inf, "inf"):
         raise ValueError("p must be 1, 2 or inf")
-    l1, l2, linf = lp_norms(a, haar.coeffs.real[list(a.structure.offsets[:-1])])
+    st = a.structure
+    l1, l2, linf = lp_norms(st, a.coords(), haar.coeffs.real[list(st.offsets[:-1])])
     return l1 if p == 1 else l2 if p == 2 else linf
 
 

@@ -495,7 +495,10 @@ def main(argv=None):
 
     try:
         config = parse_config(args.config)
-        args.kmax = args.kmax or config.get("kmax", 50)
+        if args.kmax is None:
+            args.kmax = config.get("kmax", 50)
+        elif args.kmax < 1:  # the schema's bound on the config's kmax
+            raise ConfigError(f"--kmax: {args.kmax} is less than the minimum of 1")
         if args.tol is None:
             args.tol = config.get("tol")  # None means spectrum's default, 1e-8
         handler, default_format = COMMANDS[args.command]

@@ -135,6 +135,21 @@ def test_trace_header_and_decay(tmp_path):
     assert final_tv < 1e-6
 
 
+@pytest.mark.parametrize("kmax", ["0", "-3"])
+def test_kmax_below_one_exit_2(tmp_path, capsys, kmax):
+    # --kmax 0 used to fall back to the default of 50 rows; -3 ended in a traceback
+    code, out = run_cli(tmp_path, "trace", CFG_432, "--kmax", kmax)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: --kmax: {kmax} is less than the minimum of 1\n"
+    assert not out.exists()
+
+
+def test_kmax_one_writes_one_row(tmp_path):
+    code, out = run_cli(tmp_path, "trace", CFG_432, "--kmax", "1")
+    assert code == 0
+    assert len((out / "trace.csv").read_text().splitlines()) == 2
+
+
 def test_determinism_byte_identical(tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(CFG_41))
