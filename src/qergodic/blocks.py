@@ -19,8 +19,7 @@ import numbers
 
 import numpy as np
 
-POSITIVITY_TOL = 1e-9
-CLUSTER_TOL = 1e-8
+from .tolerances import CLUSTER_TOL, POSITIVITY_TOL
 
 
 class ShapeError(ValueError):
@@ -342,11 +341,11 @@ def is_projection(a, tol=POSITIVITY_TOL):
     return (a - a.adjoint()).norm_inf() <= tol and (a - a * a).norm_inf() <= tol
 
 
-def spectral_decomposition(a, cluster_tol=CLUSTER_TOL, herm_tol=POSITIVITY_TOL):
+def spectral_decomposition(a, herm_tol=POSITIVITY_TOL):
     """Eigenvalues and spectral projections of a Hermitian element.
 
     Returns ``[(lam, P)]`` with eigenvalues ascending, eigenvalues closer than
-    ``cluster_tol`` merged into a single projection.  The projections are
+    ``CLUSTER_TOL`` merged into a single projection.  The projections are
     pairwise orthogonal and sum to the unit.
     """
     if not a.is_hermitian(herm_tol):
@@ -364,7 +363,7 @@ def spectral_decomposition(a, cluster_tol=CLUSTER_TOL, herm_tol=POSITIVITY_TOL):
         eigs.append((slots, idx, vecs))
     order = np.argsort(lam, kind="stable")
     ranked = lam[order]
-    breaks = np.flatnonzero(np.diff(ranked) > cluster_tol) + 1
+    breaks = np.flatnonzero(np.diff(ranked) > CLUSTER_TOL) + 1
     cluster = np.empty(len(lam), dtype=np.intp)
     cluster[order] = np.searchsorted(breaks, np.arange(len(lam)), side="right")
     proj = np.zeros((len(breaks) + 1, st.dim), dtype=complex)
@@ -390,7 +389,7 @@ def support_of_positive(a, tol=POSITIVITY_TOL):
     return out
 
 
-def abs_element(a, herm_tol=POSITIVITY_TOL):
+def abs_element(a):
     """|a|; from the spectrum of a when a is Hermitian, from a*a otherwise.
 
     Uses raw per-block eigenvalues (no clustering): merging eigenvalues that
@@ -403,7 +402,7 @@ def abs_element(a, herm_tol=POSITIVITY_TOL):
             out[idx] = (vecs * transform(vals)[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
         return AlgebraElement._own(elem.structure, out)
 
-    if a.is_hermitian(herm_tol):
+    if a.is_hermitian():
         return blockwise(a, np.abs)
     return blockwise(a.adjoint() * a, lambda v: np.sqrt(np.clip(v, 0.0, None)))
 

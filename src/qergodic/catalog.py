@@ -18,6 +18,7 @@ import numpy as np
 from .blocks import AlgebraMap, BlockStructure, LinearFunctional, TensorSplit, is_positive
 from .groups import FiniteGroup, IrrepTable, irreps_for, is_subgroup, representation_defect
 from .hopf import FiniteQuantumGroup, StructuralError
+from .tolerances import INPUT_NORM_TOL, POSITIVITY_TOL, USER_REP_TOL, WEIGHT_SIGN_TOL
 from .walks import WalkState
 
 
@@ -151,9 +152,9 @@ def classical_state(fg, spec):
     elif kind == "weights":
         for g, w in payload.items():
             weights[resolve(g)] = float(w)
-        if weights.min() < -1e-12:
+        if weights.min() < -WEIGHT_SIGN_TOL:
             raise ValueError("weights must be nonnegative")
-        if abs(weights.sum() - 1.0) > 1e-9:
+        if abs(weights.sum() - 1.0) > INPUT_NORM_TOL:
             raise ValueError("weights must sum to one")
     else:
         raise ValueError(f"unknown classical state kind {kind!r}")
@@ -173,9 +174,9 @@ def state_from_positive_definite(dual, rho, xi):
     group = real.group
     mats = np.asarray(rho, dtype=complex)
     xi = np.asarray(xi, dtype=complex)
-    if abs(np.linalg.norm(xi) - 1.0) > 1e-9:
+    if abs(np.linalg.norm(xi) - 1.0) > INPUT_NORM_TOL:
         raise ValueError("xi must be a unit vector")
-    defect = representation_defect(group, mats, 1e-9)
+    defect = representation_defect(group, mats, USER_REP_TOL)
     if defect is not None:
         raise ValueError("rho is not unitary" if defect[0] == "unitary"
                          else "rho is not a homomorphism")
@@ -198,7 +199,7 @@ def dual_state_from_values(dual, values, check=True, label=""):
         values[group.inv(t)] * real.basis[:, t] for t in range(group.order)
     )
     density = dual.structure.from_coords(density_coords)
-    if check and not is_positive(density, 1e-9):
+    if check and not is_positive(density, POSITIVITY_TOL):
         raise ValueError("the given values are not a positive-definite function")
     return WalkState(dual, density=density, check=check, label=label or "dual state")
 
@@ -222,7 +223,7 @@ def kp_pure_state(kp, block, xi=None):
         coeffs[st.index(block, 0, 0)] = 1.0
     else:
         xi = np.asarray(xi, dtype=complex)
-        if xi.shape != (n,) or abs(np.linalg.norm(xi) - 1.0) > 1e-9:
+        if xi.shape != (n,) or abs(np.linalg.norm(xi) - 1.0) > INPUT_NORM_TOL:
             raise ValueError(f"xi must be a unit vector of length {n}")
         for r in range(n):
             for c in range(n):

@@ -23,6 +23,15 @@ from . import catalog, ergodicity, walks
 from .blocks import random_positive, spectral_decomposition, support_of_positive
 from .groups import build_group, permutation_matrices, s3_standard_integral
 from .hopf import UnsupportedError
+from .tolerances import (
+    CLUSTER_TOL,
+    CYCLIC_COMUL_TOL,
+    PROBE_MASS_FLOOR,
+    PROBE_ORDER_TOL,
+    PROBE_VIOLATION_TOL,
+    SUPPORT_CUTOFF,
+    XI_NORM_GATE,
+)
 
 SCHEMA_VERSION = 1
 
@@ -121,7 +130,7 @@ def parse_config(source):
             except OSError as exc:
                 raise ConfigError(f"cannot read config file: {exc}")
         try:
-            raw = json.loads(text)
+            raw = json.loads(text, parse_constant=_reject_constant)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: line {exc.lineno}: {exc.msg}")
     from jsonschema.exceptions import best_match
@@ -132,6 +141,11 @@ def parse_config(source):
         path = "/".join(str(p) for p in error.absolute_path) or "(top level)"
         raise ConfigError(f"config field {path}: {error.message}")
     return raw
+
+
+def _reject_constant(name):
+    # json.loads takes NaN, Infinity and -Infinity by default; NaN passes every x > tol refusal
+    raise ConfigError(f"config is not valid JSON: {name} is not a JSON value")
 
 
 @functools.cache
@@ -189,7 +203,7 @@ def _resolve_rep(dual, name):
     raise UnsupportedCombination(f"unknown representation {name!r} for {group.label}")
 
 
-def build_state(qgroup, state_spec, norm_gate=1e-3):
+def build_state(qgroup, state_spec):
     """Resolve a state spec against a catalog entry."""
     real = qgroup.realization
     kind = next(iter(state_spec))
@@ -213,7 +227,7 @@ def build_state(qgroup, state_spec, norm_gate=1e-3):
                 f"xi has length {len(xi)} but the representation acts on C^{mats[0].shape[0]}"
             )
         nrm = np.linalg.norm(xi)
-        if abs(nrm - 1.0) > norm_gate:
+        if abs(nrm - 1.0) > XI_NORM_GATE:
             raise ConfigError(f"xi norm {nrm:.6f} is too far from 1 to auto-normalize")
         xi = xi / nrm
         if unitary:
@@ -348,7 +362,7 @@ def cmd_verdict(qgroup, state, args):
 def cmd_spectrum(qgroup, state, args):
     T = walks.stochastic_operator(state)
     ev = T.eigenvalues
-    cluster_tol = args.tol if args.tol is not None else 1e-8
+    cluster_tol = args.tol if args.tol is not None else CLUSTER_TOL
     clusters = []
     for z in ev:
         for c in clusters:
@@ -407,7 +421,7 @@ def cmd_experiment(qgroup, state, args):
         payload["cyclic_comultiplication"] = {
             "period": d,
             "max_residual": _fmt(worst),
-            "holds_at_1e-8": bool(worst <= 1e-8),
+            "holds_at_1e-8": bool(worst <= CYCLIC_COMUL_TOL),
         }
     else:
         payload["cyclic_comultiplication"] = None
@@ -431,20 +445,20 @@ def cmd_experiment(qgroup, state, args):
         b = random_positive(qgroup.structure, rng)
         da = small * a * small
         db = big * b * big
-        if qgroup.haar(da).real < 1e-8 or qgroup.haar(db).real < 1e-8:
+        if qgroup.haar(da).real < PROBE_MASS_FLOOR or qgroup.haar(db).real < PROBE_MASS_FLOOR:
             skipped += 1
             continue
         nu = walks.WalkState.from_density(qgroup, da * (1 / qgroup.haar(da).real))
         mu = walks.WalkState.from_density(qgroup, db * (1 / qgroup.haar(db).real))
         p_nu = walks.support_projection(nu)
         p_mu = walks.support_projection(mu)
-        if (p_mu * p_nu - p_nu).norm_inf() > 1e-9:
+        if (p_mu * p_nu - p_nu).norm_inf() > PROBE_ORDER_TOL:
             skipped += 1
             continue
         trials += 1
         p_nu2 = walks.support_projection(walks.convolve(nu, nu))
         p_mu2 = walks.support_projection(walks.convolve(mu, mu))
-        if (p_mu2 * p_nu2 - p_nu2).norm_inf() > 1e-7:
+        if (p_mu2 * p_nu2 - p_nu2).norm_inf() > PROBE_VIOLATION_TOL:
             violations += 1
     payload["support_monotonicity"] = {
         "question": "does p_nu <= p_mu force p_{nu*nu} <= p_{mu*mu}",
@@ -463,7 +477,7 @@ def cmd_experiment(qgroup, state, args):
             acc = acc + coeffs
         avg = walks.WalkState.from_functional_coeffs(qgroup, acc / n, check=state.checked)
         if state.checked:
-            supp = support_of_positive(avg.density, 1e-8)
+            supp = support_of_positive(avg.density, SUPPORT_CUTOFF)
             chain.append({"n": n, "haar_mass": _fmt(qgroup.haar(supp).real)})
     payload["cesaro_chain"] = chain
     return _json_text(payload), "experiment.json"
@@ -500,7 +514,9 @@ def main(argv=None):
         elif args.kmax < 1:  # the schema's bound on the config's kmax
             raise ConfigError(f"--kmax: {args.kmax} is less than the minimum of 1")
         if args.tol is None:
-            args.tol = config.get("tol")  # None means spectrum's default, 1e-8
+            args.tol = config.get("tol")  # None means spectrum's default, CLUSTER_TOL
+        elif not args.tol > 0:  # the schema's bound on the config's tol; refuses nan too
+            raise ConfigError(f"--tol: {args.tol} is not greater than 0")
         handler, default_format = COMMANDS[args.command]
         if args.format is None:
             args.format = default_format

@@ -19,8 +19,28 @@ from .blocks import DomainError, hermitian_part, spectral_decomposition
 from .catalog import ClassicalRealization, DualRealization
 from .groups import GroupValidationError, subgroups
 from .hopf import UnsupportedError
+from .tolerances import (
+    CHARACTER_SPAN_TOL,
+    CHARACTER_TOL,
+    COEFF_MARGIN,
+    COMMUTATOR_TOL,
+    ERGODIC_TV_TOL,
+    GAP_DECAY_TARGET,
+    IDEMPOTENCE_TOL,
+    IMPLIED_IDENTITY_TOL,
+    KERNEL_TOL,
+    PERIPHERAL_TOL,
+    PROJECTION_DEDUP_TOL,
+    PROJECTION_EQ_TOL,
+    REACH_MASS_FLOOR,
+    TRIVIAL_CHAR_TOL,
+    ZERO_ELEMENT_TOL,
+    ZHANG_BALL_TOL,
+    ZHANG_MASS_FLOOR,
+)
 from .walks import (
     WalkState,
+    _null_space,
     cesaro_limit,
     convolution_power,
     convolve,
@@ -31,8 +51,6 @@ from .walks import (
     support_projection,
     total_variation,
 )
-
-PROJECTION_EQ_TOL = 1e-8
 
 
 class ClassificationError(RuntimeError):
@@ -74,37 +92,35 @@ class ErgodicityVerdict:
         return self.tag == "ergodic"
 
 
-def is_idempotent_state(phi, tol=1e-9):
+def is_idempotent_state(phi):
     """phi = phi * phi; when true, the density must be p / haar(p) for a group-like p."""
-    if total_variation(convolve(phi, phi), phi) > tol:
+    if total_variation(convolve(phi, phi), phi) > IDEMPOTENCE_TOL:
         return False
     group = phi.group
     p = support_projection(phi)
     expected = p * (1.0 / group.haar(p).real)
-    if (phi.density - expected).norm_inf() > max(tol, 1e-7):
+    if (phi.density - expected).norm_inf() > IMPLIED_IDENTITY_TOL:
         raise ClassificationError("idempotent state density is not p / haar(p)")
-    if not group.is_group_like_projection(p, PROJECTION_EQ_TOL):
+    if not group.is_group_like_projection(p):
         raise ClassificationError("idempotent state support is not group-like")
     return True
 
 
-def _fixed_point_projections(group, T, atol=1e-8):
+def _fixed_point_projections(group, T):
     """Nontrivial projections in the fixed-point space of T.
 
     The fixed-point space is a *-subalgebra; its projections are found among
     spectral projections of Hermitian fixed elements (each basis vector of the
     space, Hermitianized, plus a few generic real combinations).
     """
-    D = group.dim
-    _, sing, vh = np.linalg.svd(T.matrix - np.eye(D))
-    kernel = vh[sing <= atol].conj()
+    kernel = _null_space(T.matrix - np.eye(group.dim)).T
     if kernel.shape[0] <= 1:
         return []
     hermitians = []
     for row in kernel:
         e = group.structure.from_coords(row)
         for h in (hermitian_part(e), hermitian_part(e * (-1j))):
-            if h.norm_inf() > 1e-10:
+            if h.norm_inf() > ZERO_ELEMENT_TOL:
                 hermitians.append(h)
     rng = np.random.default_rng(7)
     for _ in range(3):
@@ -118,8 +134,8 @@ def _fixed_point_projections(group, T, atol=1e-8):
         for _, p in spectral_decomposition(h):
             if p.norm_inf() < 0.5 or (p - unit).norm_inf() < PROJECTION_EQ_TOL:
                 continue
-            if (T.apply(p) - p).norm_inf() <= atol:
-                if all((p - q).norm_inf() > 1e-6 for q in found):
+            if (T.apply(p) - p).norm_inf() <= KERNEL_TOL:
+                if all((p - q).norm_inf() > PROJECTION_DEDUP_TOL for q in found):
                     found.append(p)
     if not found:
         raise ClassificationError(
@@ -134,7 +150,7 @@ def _reachability_projections(group):
     seen = []
     for b in group.structure.basis():
         for h in (hermitian_part(b), hermitian_part(b * (-1j))):
-            if h.norm_inf() < 1e-10:
+            if h.norm_inf() < ZERO_ELEMENT_TOL:
                 continue
             for _, p in spectral_decomposition(h):
                 key = np.round(p.coords(), 9).tobytes()
@@ -169,7 +185,7 @@ def is_irreducible(nu):
     route_c = True
     for q in _reachability_projections(group):
         qc = q.coords()
-        if not any(float((m @ qc).real) > 1e-12 for m in masses):
+        if not any(float((m @ qc).real) > REACH_MASS_FLOOR for m in masses):
             route_c = False
             break
 
@@ -228,7 +244,7 @@ def cyclic_partition(nu, d):
         raise ClassificationError("counit mass of p_0 is not 1")
     if abs(nu.expect(projections[1]) - 1.0) > PROJECTION_EQ_TOL:
         raise ClassificationError("nu is not concentrated on p_1")
-    if not group.is_group_like_projection(p0, PROJECTION_EQ_TOL):
+    if not group.is_group_like_projection(p0):
         raise ClassificationError("p_0 is not group-like")
     return CyclicPartition(d, projections)
 
@@ -239,7 +255,7 @@ def classify(nu):
     Reducibility is decided first from the Cesaro support; for irreducible
     walks the peripheral spectrum of the stochastic operator fixes the period.
     An Ergodic verdict is additionally verified empirically by driving the
-    total variation distance below 1e-6 at a step count set by the spectral gap.
+    total variation distance below ``ERGODIC_TV_TOL`` at a step count set by the spectral gap.
     """
     group = nu.group
     limit, support = cesaro_limit(nu)
@@ -257,13 +273,13 @@ def classify(nu):
         )
 
     if len(peripheral) == 1:
-        gap_lambda = max((abs(x) for x in evals if abs(x) < 1 - 1e-9), default=0.0)
+        gap_lambda = max((abs(x) for x in evals if abs(x) < 1 - PERIPHERAL_TOL), default=0.0)
         if gap_lambda == 0.0:
             k_star = 1
         else:
-            k_star = min(int(np.ceil(np.log(1e-12) / np.log(gap_lambda))) + 1, 2 ** 50)
+            k_star = min(int(np.ceil(np.log(GAP_DECAY_TARGET) / np.log(gap_lambda))) + 1, 2 ** 50)
         tv_far = total_variation(convolution_power(nu, k_star), haar)
-        if tv_far > 1e-6:
+        if tv_far > ERGODIC_TV_TOL:
             raise ClassificationError(
                 f"spectral gap promises convergence but TV at k={k_star} is {tv_far:.2e}"
             )
@@ -296,7 +312,7 @@ class ZhangReport:
     limit: WalkState | None = None
 
 
-def zhang_criterion(nu, tol=1e-9):
+def zhang_criterion(nu):
     """Convergence from positive mass at the Haar element.
 
     When nu(eta) > 0 every eigenvalue of T lies in the closed ball of radius
@@ -309,8 +325,8 @@ def zhang_criterion(nu, tol=1e-9):
     nu_eta = float(nu.expect(group.haar_element).real)
     T = stochastic_operator(nu)
     evals = T.eigenvalues
-    ball_ok = bool(np.all(np.abs(evals - nu_eta) <= 1 - nu_eta + tol))
-    report = ZhangReport(nu_eta=nu_eta, applies=nu_eta > 1e-12, spectral_ball_ok=ball_ok)
+    ball_ok = bool(np.all(np.abs(evals - nu_eta) <= 1 - nu_eta + ZHANG_BALL_TOL))
+    report = ZhangReport(nu_eta=nu_eta, applies=nu_eta > ZHANG_MASS_FLOOR, spectral_ball_ok=ball_ok)
     if not report.applies:
         return report
     P = settled_power(T.matrix)
@@ -348,10 +364,10 @@ def freslon_check(u):
     for H in sorted(candidates, key=lambda h: (-len(h), h)):
         if len(H) <= 1:
             continue
-        if any(abs(abs(values[h]) - 1.0) > 1e-9 for h in H):
+        if any(abs(abs(values[h]) - 1.0) > CHARACTER_TOL for h in H):
             continue
         if all(
-            abs(values[group.mul(h1, h2)] - values[h1] * values[h2]) <= 1e-9
+            abs(values[group.mul(h1, h2)] - values[h1] * values[h2]) <= CHARACTER_TOL
             for h1 in H for h2 in H
         ):
             witness = tuple(H)
@@ -387,7 +403,7 @@ def baraquin_check(nu):
         for r in real.irreps.irreps:
             vals = r.character()
             elem = group.structure.from_coords(vals)
-            trivial = bool(np.abs(vals - 1.0).max() < 1e-12)
+            trivial = bool(np.abs(vals - 1.0).max() < TRIVIAL_CHAR_TOL)
             chars.append((r.name, elem, r.dim, trivial))
     else:
         raise UnsupportedError("no character data for this entry")
@@ -399,11 +415,11 @@ def baraquin_check(nu):
         coeff = complex(group.haar(chi.adjoint() * f))
         coefficients.append((name, coeff, d, trivial))
         recon = recon + coeff * chi
-    central = (recon - f).norm_inf() <= 1e-9
+    central = (recon - f).norm_inf() <= CHARACTER_SPAN_TOL
     verdict = None
     if central:
         verdict = all(
-            abs(coeff) < d - 1e-9 for name, coeff, d, trivial in coefficients if not trivial
+            abs(coeff) < d - COEFF_MARGIN for name, coeff, d, trivial in coefficients if not trivial
         )
     return BaraquinReport(
         central=central,
@@ -414,8 +430,8 @@ def baraquin_check(nu):
 
 def quasi_subgroup_is_subgroup(group, p):
     """A quasi-subgroup is a subgroup iff its group-like projection is central."""
-    if not group.is_group_like_projection(p, PROJECTION_EQ_TOL):
+    if not group.is_group_like_projection(p):
         raise DomainError("centrality test expects a group-like projection")
     return all(
-        (p * b - b * p).norm_inf() <= 1e-9 for b in group.structure.basis()
+        (p * b - b * p).norm_inf() <= COMMUTATOR_TOL for b in group.structure.basis()
     )

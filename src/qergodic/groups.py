@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tolerances import CHAR_ORTHOGONALITY_TOL, IRREP_TOL
+
 
 class GroupValidationError(ValueError):
     """The supplied data does not describe a group."""
@@ -248,12 +250,12 @@ class IrrepTable:
         self.irreps = list(irreps)
         self.validate()
 
-    def validate(self, tol=1e-10):
+    def validate(self):
         n = self.group.order
         if sum(r.dim ** 2 for r in self.irreps) != n:
             raise GroupValidationError("irrep dimensions do not sum to the group order")
         for r in self.irreps:
-            defect = representation_defect(self.group, r.matrices, tol)
+            defect = representation_defect(self.group, r.matrices, IRREP_TOL)
             if defect is not None:
                 law, g = defect
                 if law == "unitary":
@@ -261,7 +263,7 @@ class IrrepTable:
                 raise GroupValidationError(f"irrep {r.name} is not a homomorphism")
         chars = np.array([r.character() for r in self.irreps])
         gram = chars @ chars.conj().T / n
-        if np.abs(gram - np.eye(len(chars))).max() > 1e-9:
+        if np.abs(gram - np.eye(len(chars))).max() > CHAR_ORTHOGONALITY_TOL:
             raise GroupValidationError("character orthogonality fails")
 
     @property

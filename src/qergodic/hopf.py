@@ -22,15 +22,23 @@ from .blocks import (
     is_projection,
 )
 from .groups import FiniteGroup, GroupValidationError, subgroups
+from .tolerances import (
+    COMMUTATIVITY_TOL,
+    EXACT_DEFECT_TOL,
+    HAAR_NULL_RTOL,
+    HAAR_WEIGHT_FLOOR,
+    IMPLIED_IDENTITY_TOL,
+    LM_TOL,
+    PROJECTION_DEDUP_TOL,
+    PROJECTION_EQ_TOL,
+    REFINE_TOL,
+    STRUCTURE_TOL,
+)
 
-GROUP_LIKE_TOL = 1e-8
-_REFINE_TOL = 1e-12
 # group-like census: Bloch grid points per angle axis, by the number of rank-1
-# 2x2 blocks in a choice; starts need a grid defect below _START_TOL, and two
-# refined projections closer than _DEDUP_TOL are one
+# 2x2 blocks in a choice; starts need a grid defect below _START_TOL
 _GRID = {1: 64, 2: 12}
 _START_TOL = 0.25
-_DEDUP_TOL = 1e-6
 _SCAN_BATCH = 4096
 
 
@@ -151,7 +159,7 @@ class FiniteQuantumGroup:
         system[np.arange(D), :, np.arange(D)] -= unit
         system = system.reshape(D * D, D)
         _, sing, vh = np.linalg.svd(system, full_matrices=False)
-        null_count = int(np.sum(sing <= 1e-10 * max(1.0, sing[0])))
+        null_count = int(np.sum(sing <= HAAR_NULL_RTOL * max(1.0, sing[0])))
         if null_count != 1:
             raise StructuralError(
                 f"invariance system has a {null_count}-dimensional solution space; "
@@ -164,9 +172,9 @@ class FiniteQuantumGroup:
         for n, ids, idx in self.structure.size_classes:
             seg = coeffs[idx]
             w = np.trace(seg, axis1=1, axis2=2) / n
-            if np.any(np.abs(w.imag) > 1e-9) or np.any(w.real <= 1e-12):
+            if np.any(np.abs(w.imag) > STRUCTURE_TOL) or np.any(w.real <= HAAR_WEIGHT_FLOOR):
                 raise StructuralError("Haar state is not faithful and positive")
-            if np.abs(seg - w[:, None, None] * np.eye(n)).max() > 1e-9:
+            if np.abs(seg - w[:, None, None] * np.eye(n)).max() > STRUCTURE_TOL:
                 raise StructuralError("Haar state is not tracial")
             weights[ids] = w.real
         coord_weights = np.repeat(weights, [n * n for n in self.structure.dims])
@@ -174,16 +182,16 @@ class FiniteQuantumGroup:
         coeffs = coord_weights * unit.real
         haar = LinearFunctional(self.structure, coeffs)
         # right invariance and antipode invariance are theorems; treat failures as structural
-        if np.abs(dk3.transpose(2, 0, 1) @ coeffs - np.outer(coeffs, unit)).max() > 1e-9:
+        if np.abs(dk3.transpose(2, 0, 1) @ coeffs - np.outer(coeffs, unit)).max() > STRUCTURE_TOL:
             raise StructuralError("Haar state is not right invariant")
-        if np.abs(self.antipode.matrix.T @ coeffs - coeffs).max() > 1e-9:
+        if np.abs(self.antipode.matrix.T @ coeffs - coeffs).max() > STRUCTURE_TOL:
             raise StructuralError("Haar state is not antipode invariant")
         return haar, tuple(weights.tolist()), coord_weights
 
     def _character_coords(self):
         """Coordinates of the 1x1 blocks, the one on which the counit is 1 first."""
         ones = np.array(self.structure.offsets[:-1])[np.array(self.structure.dims) == 1]
-        hits = np.abs(self.counit.coeffs[ones] - 1.0) <= 1e-9
+        hits = np.abs(self.counit.coeffs[ones] - 1.0) <= STRUCTURE_TOL
         if hits.sum() != 1:
             raise StructuralError(
                 f"found {hits.sum()} one-dimensional factors with counit value 1, expected 1"
@@ -204,7 +212,7 @@ class FiniteQuantumGroup:
         coords = self._character_coords()
         rows = self.comul_kron[(coords[:, None] * self.dim + coords).reshape(-1)]
         table = np.abs(rows[:, coords]).argmax(axis=1)
-        if np.abs(rows - np.eye(self.dim)[coords[table]]).max() > 1e-9:
+        if np.abs(rows - np.eye(self.dim)[coords[table]]).max() > STRUCTURE_TOL:
             raise StructuralError("a product of characters is not a character")
         try:
             return FiniteGroup(map(str, coords), table.reshape(len(coords), -1),
@@ -267,13 +275,13 @@ class FiniteQuantumGroup:
         )
         return HopfAxiomReport(residuals)
 
-    def is_cocommutative(self, tol=1e-10):
+    def is_cocommutative(self):
         dk3 = self.comul_kron.reshape((self.dim,) * 3)  # [s, t, f]
-        return float(np.abs(dk3 - dk3.transpose(1, 0, 2)).max()) <= tol
+        return float(np.abs(dk3 - dk3.transpose(1, 0, 2)).max()) <= COMMUTATIVITY_TOL
 
-    def is_commutative(self, tol=1e-10):
+    def is_commutative(self):
         mult = self.structure.mult_table
-        return float(np.abs(mult - mult.transpose(1, 0, 2)).max()) <= tol
+        return float(np.abs(mult - mult.transpose(1, 0, 2)).max()) <= COMMUTATIVITY_TOL
 
     # -- group-like projections -------------------------------------------------
 
@@ -298,16 +306,16 @@ class FiniteQuantumGroup:
         rhs = coords[:, :, None] * coords[:, None, :]
         return (lhs - rhs).reshape(len(coords), D * D)
 
-    def is_group_like_projection(self, p, tol=GROUP_LIKE_TOL):
+    def is_group_like_projection(self, p):
         """Test Delta(p)(1 (x) p) = p (x) p for a projection p."""
-        if not is_projection(p, tol):
+        if not is_projection(p, PROJECTION_EQ_TOL):
             raise DomainError("group-likeness is defined for projections")
-        if self.group_like_residual(p) > tol:
+        if self.group_like_residual(p) > PROJECTION_EQ_TOL:
             return False
         # consequences of group-likeness; numeric failure here is a bug
-        if abs(self.counit(p) - 1.0) > max(tol, 1e-7):
+        if abs(self.counit(p) - 1.0) > IMPLIED_IDENTITY_TOL:
             raise StructuralError("group-like projection with counit value != 1")
-        if (self.antipode(p) - p).norm_inf() > max(tol, 1e-7):
+        if (self.antipode(p) - p).norm_inf() > IMPLIED_IDENTITY_TOL:
             raise StructuralError("group-like projection not fixed by the antipode")
         return True
 
@@ -341,7 +349,7 @@ class FiniteQuantumGroup:
         def record(coords):
             p = self.structure.from_coords(coords)
             for q in found:
-                if (p - q).norm_inf() < _DEDUP_TOL:
+                if (p - q).norm_inf() < PROJECTION_DEDUP_TOL:
                     return
             found.append(p)
 
@@ -361,7 +369,7 @@ class FiniteQuantumGroup:
                 elif c:
                     base[off:off + 4:3] = 1.0  # the unit of the block
             if not spheres:
-                if np.linalg.norm(self._group_like_defect_batch(base)[0]) <= 1e-10:
+                if np.linalg.norm(self._group_like_defect_batch(base)[0]) <= EXACT_DEFECT_TOL:
                     record(base)
                 continue
             from scipy import optimize  # only rank-1 2x2 choices need it
@@ -380,13 +388,13 @@ class FiniteQuantumGroup:
             for start in grid[_grid_minima(vals.reshape(grid.shape[:-1]))]:
                 sol = optimize.least_squares(
                     residual, start, args=(base, offsets),
-                    xtol=1e-15, ftol=1e-15, gtol=1e-15, method="lm",
+                    xtol=LM_TOL, ftol=LM_TOL, gtol=LM_TOL, method="lm",
                 )
-                if np.linalg.norm(sol.fun) <= _REFINE_TOL:
+                if np.linalg.norm(sol.fun) <= REFINE_TOL:
                     record(_bloch_assemble(base, offsets, sol.x)[0])
 
         for p in found:
-            if not self.is_group_like_projection(p, GROUP_LIKE_TOL):
+            if not self.is_group_like_projection(p):
                 raise StructuralError("search produced a non-group-like projection")
             if self.haar(p).real <= 0:
                 raise StructuralError("group-like projection with nonpositive Haar mass")

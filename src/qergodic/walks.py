@@ -21,9 +21,20 @@ from .blocks import (
     random_positive,
     support_of_positive,
 )
+from .tolerances import (
+    AGREEMENT_TOL,
+    IDEMPOTENCE_TOL,
+    KERNEL_TOL,
+    MONOTONE_SLACK,
+    PERIPHERAL_TOL,
+    POSITIVITY_TOL,
+    ROOT_OF_UNITY_TOL,
+    SEMISIMPLE_COND_MAX,
+    SETTLE_STEP_FLOOR,
+    STATE_NORM_TOL,
+    SUPPORT_CUTOFF,
+)
 
-STATE_TOL = 1e-9
-AGREEMENT_TOL = 1e-9  # spectral vs iterative Cesaro limit, and the most settled_power may err
 _TRACE_BATCH = 16384  # coordinates per chunk of the distance trace: 256 KiB of complex
 
 
@@ -69,11 +80,11 @@ class WalkState:
         self.label = label
         self.checked = bool(check)
         if check:
-            if not is_positive(density, STATE_TOL):
+            if not is_positive(density, POSITIVITY_TOL):
                 raise DomainError("density is not positive")
-            if abs(group.haar(density) - 1.0) > 1e-8:
+            if abs(group.haar(density) - 1.0) > STATE_NORM_TOL:
                 raise DomainError("density is not normalized")
-            if abs(functional(group.unit) - 1.0) > 1e-8:
+            if abs(functional(group.unit) - 1.0) > STATE_NORM_TOL:
                 raise DomainError("functional is not unital")
 
     @classmethod
@@ -188,7 +199,7 @@ def distances_to_random(nu, kmax):
     chunk turns into densities minus the unit at once, and all three
     distances of all its steps come from one SVD per block size over the
     whole stack (see ``lp_norms``).  For checked states the TV and QSD columns
-    are verified non-increasing (within 1e-10 slack), as the theory requires.
+    are verified non-increasing (within ``MONOTONE_SLACK``), as the theory requires.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
@@ -210,8 +221,8 @@ def distances_to_random(nu, kmax):
                                group.haar_weights)
         tv = 0.5 * l1
         if nu.checked:
-            rise = np.flatnonzero((tv > np.append(prev_tv, tv[:-1]) + 1e-10)
-                                  | (qsd > np.append(prev_qsd, qsd[:-1]) + 1e-10))
+            rise = np.flatnonzero((tv > np.append(prev_tv, tv[:-1]) + MONOTONE_SLACK)
+                                  | (qsd > np.append(prev_qsd, qsd[:-1]) + MONOTONE_SLACK))
             if len(rise):
                 raise NumericError(f"distance trace increased at step {first + rise[0]}")
             prev_tv, prev_qsd = tv[-1], qsd[-1]
@@ -223,13 +234,13 @@ def support_projection(state):
     """Smallest projection p with nu(p) = 1: the range projection of the density."""
     if not state.checked:
         raise DomainError("support projections are defined for genuine states")
-    return support_of_positive(state.density, 1e-8)
+    return support_of_positive(state.density, SUPPORT_CUTOFF)
 
 
-def _null_space(matrix, atol=1e-8):
+def _null_space(matrix):
     _, sing, vh = np.linalg.svd(matrix)
     sing = np.concatenate([sing, np.zeros(matrix.shape[1] - len(sing))])
-    return vh[sing <= atol].conj().T
+    return vh[sing <= KERNEL_TOL].conj().T
 
 
 def _cesaro_spectral(T):
@@ -241,7 +252,7 @@ def _cesaro_spectral(T):
     if V.shape[1] == 0 or V.shape[1] != W.shape[1]:
         raise NumericError("eigenvalue 1 eigenspaces are inconsistent")
     gram = W.conj().T @ V
-    if np.linalg.cond(gram) > 1e8:
+    if np.linalg.cond(gram) > SEMISIMPLE_COND_MAX:
         raise NumericError("eigenvalue 1 of the stochastic operator is not semisimple")
     return V @ np.linalg.solve(gram, W.conj().T)
 
@@ -252,7 +263,7 @@ def settled_power(M):
     Each squaring at most doubles the roundoff carried by the eigenvalue-1
     part, so after k squarings the entries are known only to about
     2^k * D * eps (D the size of M, eps the machine epsilon).  The first
-    square whose step falls below max(1e-12, 2^k * D * eps) is accepted; once
+    square whose step falls below max(SETTLE_STEP_FLOOR, 2^k * D * eps) is accepted; once
     that floor passes ``AGREEMENT_TOL`` no later square can be trusted to it,
     and NumericError is raised instead.
     """
@@ -262,7 +273,7 @@ def settled_power(M):
     while (floor := 2.0 ** k * unit_roundoff) <= AGREEMENT_TOL:
         M2 = M @ M
         step = np.abs(M2 - M).max()
-        if step < max(1e-12, floor):
+        if step < max(SETTLE_STEP_FLOOR, floor):
             return M2
         M = M2
         k += 1
@@ -293,31 +304,31 @@ def cesaro_limit(nu):
     if np.abs(c_spec - c_iter).max() > AGREEMENT_TOL:
         raise NumericError("spectral and iterative Cesaro limits disagree")
     limit = WalkState.from_functional_coeffs(group, c_spec, check=True, label="cesaro limit")
-    support = support_of_positive(limit.density, 1e-8)
-    if total_variation(convolve(limit, limit), limit) > 1e-9:
+    support = support_of_positive(limit.density, SUPPORT_CUTOFF)
+    if total_variation(convolve(limit, limit), limit) > IDEMPOTENCE_TOL:
         raise NumericError("Cesaro limit is not idempotent")
-    if not group.is_group_like_projection(support, 1e-8):
+    if not group.is_group_like_projection(support):
         raise NumericError("Cesaro support is not group-like")
     return limit, support
 
 
-def spectrum_peripheral(T, tol=1e-9):
+def spectrum_peripheral(T):
     """Spectrum of the stochastic operator split into (all, peripheral).
 
     Asserts the spectrum sits in the closed unit disc; when 1 is a simple
     eigenvalue the peripheral set must be the d-th roots of unity.
     """
     ev = T.eigenvalues
-    if np.abs(ev).max() > 1 + tol:
+    if np.abs(ev).max() > 1 + PERIPHERAL_TOL:
         raise NumericError("stochastic operator spectrum leaves the unit disc")
-    peripheral = ev[np.abs(ev) >= 1 - tol]
-    ones = np.sum(np.abs(ev - 1.0) <= tol)
+    peripheral = ev[np.abs(ev) >= 1 - PERIPHERAL_TOL]
+    ones = np.sum(np.abs(ev - 1.0) <= PERIPHERAL_TOL)
     if ones == 1 and len(peripheral) > 0:
         d = len(peripheral)
         remaining = list(peripheral)
         for root in np.exp(2j * np.pi * np.arange(d) / d):
             j = int(np.argmin([abs(z - root) for z in remaining]))
-            if abs(remaining[j] - root) > 1e-7:
+            if abs(remaining[j] - root) > ROOT_OF_UNITY_TOL:
                 raise NumericError(
                     "peripheral spectrum is not a cyclic group of roots of unity"
                 )

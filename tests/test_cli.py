@@ -27,6 +27,12 @@ CFG_C4_POINT2 = {
     "state": {"point": 2},
 }
 
+CFG_C4_POINT1 = {
+    "schema": 1,
+    "group": {"classical": {"family": "cyclic", "n": 4}},
+    "state": {"point": 1},
+}
+
 CFG_432 = {
     "schema": 1,
     "group": {"dual": {"family": "symmetric", "n": 3}},
@@ -141,6 +147,35 @@ def test_kmax_below_one_exit_2(tmp_path, capsys, kmax):
     code, out = run_cli(tmp_path, "trace", CFG_432, "--kmax", kmax)
     assert code == 2
     assert capsys.readouterr().err == f"error: --kmax: {kmax} is less than the minimum of 1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+def test_tol_not_positive_exit_2(tmp_path, capsys, tol):
+    # argparse's float() takes all three; only spectrum reads --tol
+    code, out = run_cli(tmp_path, "spectrum", CFG_C4_POINT1, "--tol", tol)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: --tol: {float(tol)} is not greater than 0\n"
+    assert not out.exists()
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("config, constant", [
+    # NaN <= 0 is false, so the schema's exclusiveMinimum alone lets it through
+    (dict(CFG_C4_POINT1, tol=NAN), "NaN"),
+    # NaN passes every x > tol refusal; this xi reached an SVD that does not converge
+    (dict(CFG_41, state={"positive_definite": {"rep": "permutation", "xi": [NAN, 0, 0]}}), "NaN"),
+    (dict(CFG_C4_POINT1, state={"weights": {"0": NAN, "1": 1.0}}), "NaN"),
+    (dict(CFG_C4_POINT1, tol=float("inf")), "Infinity"),
+    (dict(CFG_C4_POINT1, tol=-float("inf")), "-Infinity"),
+])
+def test_non_finite_config_constants_exit_2(tmp_path, capsys, config, constant):
+    code, out = run_cli(tmp_path, "verdict", config)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: config is not valid JSON: {constant} is not a JSON value\n"
     assert not out.exists()
 
 

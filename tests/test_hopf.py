@@ -201,7 +201,7 @@ def test_classical_census_is_subgroup_indicators(s3):
             if not any(bits):
                 continue
             p = fg.structure.from_coords(np.array(bits))
-            if fg.is_group_like_projection(p, 1e-8):
+            if fg.is_group_like_projection(p):
                 support = tuple(i for i, b in enumerate(bits) if b)
                 assert support in subgroups(group)
 

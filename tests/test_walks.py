@@ -311,7 +311,7 @@ def test_support_of_idempotent_is_group_like(dual_s3, s3):
         p = support_projection(phi)
         chi = chi_subgroup(dual_s3, list(H))
         assert (p - chi).norm_inf() < 1e-8
-        assert dual_s3.is_group_like_projection(p, 1e-8)
+        assert dual_s3.is_group_like_projection(p)
 
 
 def test_support_of_point_mass(f_s3, s3):
