@@ -7,10 +7,13 @@ so the coordinate space has dimension D = sum(n_i**2).  An element is one
 read-only coordinate vector.  Blocks of equal size form a size class, whose
 (m, n, n) index array stacks its m blocks out of the coordinates: sums and
 the adjoint act on the vector, while products, norms and spectra make one
-batched matmul, SVD or eigendecomposition per size class.  Tensor products of
-two such algebras are again of this form (Kronecker blocks in lexicographic
-order); :class:`TensorSplit` holds the bookkeeping between the canonical
-coordinates of the product and the Kronecker order of the factors.
+batched matmul, SVD or eigendecomposition per size class.  As the coordinates
+never change, an element computes its Hermitian defect and the
+eigendecomposition of its size classes at most once, on first use, and keeps
+them for every later Hermitian, positivity or spectral question.  Tensor
+products of two such algebras are again of this form (Kronecker blocks in
+lexicographic order); :class:`TensorSplit` holds the bookkeeping between the
+canonical coordinates of the product and the Kronecker order of the factors.
 """
 
 from __future__ import annotations
@@ -123,9 +126,14 @@ class BlockStructure:
 
 
 class AlgebraElement:
-    """Member of a direct sum of matrix blocks, stored as its read-only coordinate vector."""
+    """Member of a direct sum of matrix blocks, stored as its read-only coordinate vector.
 
-    __slots__ = ("structure", "_coords")
+    ``_herm`` and ``_eig`` cache ||a - a*|| and the per-size-class
+    :func:`_eigh`; an element starts with neither, whether built from blocks,
+    from coordinates or by arithmetic.
+    """
+
+    __slots__ = ("structure", "_coords", "_herm", "_eig")
 
     def __init__(self, structure, blocks):
         if len(blocks) != len(structure.dims):
@@ -139,6 +147,7 @@ class AlgebraElement:
         coords.flags.writeable = False
         self.structure = structure
         self._coords = coords
+        self._herm = self._eig = None
 
     @classmethod
     def _own(cls, structure, coords):
@@ -147,6 +156,7 @@ class AlgebraElement:
         coords.flags.writeable = False
         self.structure = structure
         self._coords = coords
+        self._herm = self._eig = None
         return self
 
     @property
@@ -195,8 +205,23 @@ class AlgebraElement:
         """Operator norm: the largest singular value over all blocks."""
         return max(_singular_values(s).max() for s in _stacks(self))
 
+    def _hermitian_defect(self):
+        """||a - a*||, computed once."""
+        if self._herm is None:
+            self._herm = (self - self.adjoint()).norm_inf()
+        return self._herm
+
+    def _eighs(self):
+        """(eigenvalues, eigenvectors) of :func:`_eigh` per size class, computed once, read-only."""
+        if self._eig is None:
+            eigs = tuple(_eigh(s) for s in _stacks(self))
+            for arr in (a for pair in eigs for a in pair):
+                arr.flags.writeable = False
+            self._eig = eigs
+        return self._eig
+
     def is_hermitian(self, tol=POSITIVITY_TOL):
-        return (self - self.adjoint()).norm_inf() <= tol
+        return self._hermitian_defect() <= tol
 
     def __repr__(self):
         return f"AlgebraElement(dims={self.structure.dims})"
@@ -334,11 +359,11 @@ def is_positive(a, tol=POSITIVITY_TOL):
     """Hermitian within ``tol`` and all block eigenvalues >= -tol."""
     if not a.is_hermitian(tol):
         return False
-    return not any(_eigh(s)[0].min() < -tol for s in _stacks(a))
+    return not any(vals.min() < -tol for vals, _ in a._eighs())
 
 
 def is_projection(a, tol=POSITIVITY_TOL):
-    return (a - a.adjoint()).norm_inf() <= tol and (a - a * a).norm_inf() <= tol
+    return a._hermitian_defect() <= tol and (a - a * a).norm_inf() <= tol
 
 
 def spectral_decomposition(a, herm_tol=POSITIVITY_TOL):
@@ -356,8 +381,7 @@ def spectral_decomposition(a, herm_tol=POSITIVITY_TOL):
     first = np.cumsum((0,) + st.dims[:-1])
     lam = np.empty(sum(st.dims))
     eigs = []
-    for (n, ids, idx), s in zip(st.size_classes, _stacks(a)):
-        vals, vecs = _eigh(s)
+    for (n, ids, idx), (vals, vecs) in zip(st.size_classes, a._eighs()):
         slots = first[ids][:, None] + np.arange(n)
         lam[slots] = vals
         eigs.append((slots, idx, vecs))
@@ -397,8 +421,7 @@ def abs_element(a):
     """
     def blockwise(elem, transform):
         out = np.empty(elem.structure.dim, dtype=complex)
-        for (_, _, idx), s in zip(elem.structure.size_classes, _stacks(elem)):
-            vals, vecs = _eigh(s)
+        for (_, _, idx), (vals, vecs) in zip(elem.structure.size_classes, elem._eighs()):
             out[idx] = (vecs * transform(vals)[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
         return AlgebraElement._own(elem.structure, out)
 

@@ -125,6 +125,14 @@ def chi_subgroup(dual, subgroup_elems):
 # -- states -----------------------------------------------------------------------
 
 
+def _finite(name, values):
+    """``values`` as a complex array; a NaN or infinite entry is refused by name."""
+    arr = np.asarray(values, dtype=complex)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
+    return arr
+
+
 def classical_state(fg, spec):
     """A probability on a classical group as a walk state on F(G).
 
@@ -152,6 +160,7 @@ def classical_state(fg, spec):
     elif kind == "weights":
         for g, w in payload.items():
             weights[resolve(g)] = float(w)
+        _finite("weights", weights)
         if weights.min() < -WEIGHT_SIGN_TOL:
             raise ValueError("weights must be nonnegative")
         if abs(weights.sum() - 1.0) > INPUT_NORM_TOL:
@@ -172,8 +181,8 @@ def state_from_positive_definite(dual, rho, xi):
     if not isinstance(real, DualRealization):
         raise StructuralError("positive-definite states live on a group algebra")
     group = real.group
-    mats = np.asarray(rho, dtype=complex)
-    xi = np.asarray(xi, dtype=complex)
+    mats = _finite("rho", rho)
+    xi = _finite("xi", xi)
     if abs(np.linalg.norm(xi) - 1.0) > INPUT_NORM_TOL:
         raise ValueError("xi must be a unit vector")
     defect = representation_defect(group, mats, USER_REP_TOL)
@@ -194,7 +203,7 @@ def dual_state_from_values(dual, values, check=True, label=""):
     if not isinstance(real, DualRealization):
         raise StructuralError("u-value states live on a group algebra")
     group = real.group
-    values = np.asarray(values, dtype=complex)
+    values = _finite("values", values)
     density_coords = sum(
         values[group.inv(t)] * real.basis[:, t] for t in range(group.order)
     )
@@ -222,8 +231,9 @@ def kp_pure_state(kp, block, xi=None):
     if n == 1:
         coeffs[st.index(block, 0, 0)] = 1.0
     else:
-        xi = np.asarray(xi, dtype=complex)
-        if xi.shape != (n,) or abs(np.linalg.norm(xi) - 1.0) > INPUT_NORM_TOL:
+        if xi is not None:
+            xi = _finite("xi", xi)
+        if xi is None or xi.shape != (n,) or abs(np.linalg.norm(xi) - 1.0) > INPUT_NORM_TOL:
             raise ValueError(f"xi must be a unit vector of length {n}")
         for r in range(n):
             for c in range(n):

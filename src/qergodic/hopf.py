@@ -9,6 +9,7 @@ convolution product on the algebra live here as well.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -40,6 +41,9 @@ from .tolerances import (
 _GRID = {1: 64, 2: 12}
 _START_TOL = 0.25
 _SCAN_BATCH = 4096
+# coordinates of a rank-1 2x2 projection 0.5 (1 + n . sigma): the constant term,
+# then the coefficients of n_x, n_y and n_z
+_BLOCH_BASIS = 0.5 * np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, -1j, 1j, 0], [1, 0, 0, -1]])
 
 
 class StructuralError(RuntimeError):
@@ -306,6 +310,32 @@ class FiniteQuantumGroup:
         rhs = coords[:, :, None] * coords[:, None, :]
         return (lhs - rhs).reshape(len(coords), D * D)
 
+    def _defect_terms(self, base, offsets):
+        """The defect of the Bloch candidates as a quadratic form in their monomials.
+
+        A candidate is A m, affine in m = (1, n_1, ..., n_k) for the Bloch
+        vectors n_j of the 2x2 blocks at ``offsets``, and the defect F(c) =
+        Delta(c)(1 (x) c) - c (x) c is quadratic in c, so F(A m) is
+        sum_{u <= v} m_u m_v T_uv with T_uu = F(A_u) and, by polarization,
+        T_uv = F(A_u + A_v) - F(A_u) - F(A_v).  Returns the T_uv, in the
+        column order of :func:`_bloch_monomials`, as a real (K(K+1)/2, 2 D^2)
+        array of real and imaginary parts (K = 1 + 3k).
+        """
+        D = self.dim
+        cols = np.zeros((1 + 3 * len(offsets), D), dtype=complex)
+        cols[0] = base
+        for j, off in enumerate(offsets):
+            cols[0, off:off + 4] = _BLOCH_BASIS[0]
+            cols[1 + 3 * j:4 + 3 * j, off:off + 4] = _BLOCH_BASIS[1:]
+        iu, iv = np.triu_indices(len(cols))
+        pair = iu < iv
+        defects = self._group_like_defect_batch(
+            np.concatenate([cols, cols[iu[pair]] + cols[iv[pair]]]))
+        single = defects[:len(cols)]
+        terms = single[iu]
+        terms[pair] = defects[len(cols):] - single[iu[pair]] - single[iv[pair]]
+        return np.concatenate([terms.real, terms.imag], axis=1)
+
     def is_group_like_projection(self, p):
         """Test Delta(p)(1 (x) p) = p (x) p for a projection p."""
         if not is_projection(p, PROJECTION_EQ_TOL):
@@ -325,9 +355,11 @@ class FiniteQuantumGroup:
         On the 1x1 blocks a group-like projection is the indicator of a
         subgroup of :meth:`character_group` (order <= 64); tries each of them
         with rank 0/1/2 choices on 2x2 blocks.  The Bloch angles of the rank-1
-        blocks of a choice are scanned on a grid; every grid point that
-        :func:`_grid_minima` keeps starts a least-squares refinement of the
-        defining residual.  The grid for two rank-1 blocks is coarse, so a
+        blocks of a choice are scanned on a grid, whose defects are one real
+        product of the grid's Bloch monomials with the polarized terms of
+        :meth:`_defect_terms`; every grid point that :func:`_grid_minima`
+        keeps (a pole row counts once) starts a least-squares refinement of
+        the defining residual.  The grid for two rank-1 blocks is coarse, so a
         projection whose angles fall between its points can be missed.
         """
         dims = self.structure.dims
@@ -375,16 +407,10 @@ class FiniteQuantumGroup:
             from scipy import optimize  # only rank-1 2x2 choices need it
 
             offsets = np.array(spheres)
-            g = _GRID[len(spheres)]
-            axes = [np.linspace(0.0, np.pi, g), np.linspace(0.0, 2 * np.pi, g, endpoint=False)]
-            grid = np.stack(np.meshgrid(*axes * len(spheres), indexing="ij"), axis=-1)
-            points = grid.reshape(-1, 2 * len(spheres))
-            # bounded batches keep the defect arrays small on the two-block grid
-            vals = np.concatenate([
-                np.linalg.norm(self._group_like_defect_batch(
-                    _bloch_assemble(base, offsets, part)), axis=1)
-                for part in np.array_split(points, -(-len(points) // _SCAN_BATCH))
-            ])
+            grid, batches = _scan_grid(len(spheres))
+            terms = self._defect_terms(base, offsets)
+            defects = (m @ terms for m in batches)  # real and imaginary parts of the defects
+            vals = np.concatenate([np.sqrt(np.vecdot(d, d)) for d in defects])
             for start in grid[_grid_minima(vals.reshape(grid.shape[:-1]))]:
                 sol = optimize.least_squares(
                     residual, start, args=(base, offsets),
@@ -416,6 +442,12 @@ class FiniteQuantumGroup:
         return f"FiniteQuantumGroup({self.label!r}, dims={self.structure.dims})"
 
 
+def _bloch_vectors(angles):
+    """Components nx, ny, nz, each (N, k), of the Bloch vectors of the (theta, phi) pairs."""
+    th, ph = angles[:, 0::2], angles[:, 1::2]
+    return np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)
+
+
 def _bloch_assemble(base, offsets, angles):
     """Candidate coordinates for each row (theta_1, phi_1, ..., theta_k, phi_k) of ``angles``.
 
@@ -425,13 +457,44 @@ def _bloch_assemble(base, offsets, angles):
     of the j-th angle pair; returns an (N, D) array.
     """
     angles = np.atleast_2d(angles)
-    th, ph = angles[:, 0::2], angles[:, 1::2]
-    nx, ny, nz = np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)
+    nx, ny, nz = _bloch_vectors(angles)
     coords = np.tile(base, (len(angles), 1))
     coords[:, offsets[:, None] + np.arange(4)] = 0.5 * np.stack(
         [1 + nz, nx - 1j * ny, nx + 1j * ny, 1 - nz], axis=-1
     )
     return coords
+
+
+@functools.cache
+def _scan_grid(k):
+    """The Bloch grid for k rank-1 blocks, (g,) * 2k + (2k,), and its monomials.
+
+    The monomials of the grid points come in batches of at most _SCAN_BATCH
+    rows, which bounds the defect arrays of the two-block grid.  Computed once
+    per k; the arrays are read-only.
+    """
+    g = _GRID[k]
+    axes = [np.linspace(0.0, np.pi, g), np.linspace(0.0, 2 * np.pi, g, endpoint=False)]
+    grid = np.stack(np.meshgrid(*axes * k, indexing="ij"), axis=-1)
+    points = grid.reshape(-1, 2 * k)
+    batches = tuple(_bloch_monomials(part)
+                    for part in np.array_split(points, -(-len(points) // _SCAN_BATCH)))
+    for arr in (grid, *batches):
+        arr.flags.writeable = False
+    return grid, batches
+
+
+def _bloch_monomials(angles):
+    """The products m_u m_v, u <= v, of m = (1, n_1, ..., n_k) for each row of ``angles``.
+
+    n_j is the Bloch vector of the j-th (theta, phi) pair, as in
+    :func:`_bloch_assemble`; returns an (N, K(K+1)/2) array, K = 1 + 3k.
+    """
+    angles = np.atleast_2d(angles)
+    n = np.stack(_bloch_vectors(angles), axis=-1).reshape(len(angles), -1)
+    m = np.concatenate([np.ones((len(angles), 1)), n], axis=1)
+    iu, iv = np.triu_indices(m.shape[1])
+    return m[:, iu] * m[:, iv]
 
 
 def _grid_minima(vals):
@@ -440,6 +503,9 @@ def _grid_minima(vals):
     ``vals`` has one axis per Bloch angle, alternating theta and phi.  A point
     is kept when its value is below _START_TOL and no larger than either
     neighbour along every axis; theta axes end at the poles, phi axes wrap.
+    A pole row names one projection whatever phi is, so it counts as one
+    point: it is compared along the other axes only, and only its phi = 0
+    entry is kept.
     """
     keep = vals < _START_TOL
     for axis in range(vals.ndim):
@@ -448,5 +514,10 @@ def _grid_minima(vals):
             if axis % 2 == 0:
                 # the value rolled in came from the other pole: no neighbour there
                 np.moveaxis(neighbour, axis, 0)[0 if shift == 1 else -1] = np.inf
+            else:
+                # phi does not move a pole
+                np.moveaxis(neighbour, axis - 1, 0)[[0, -1]] = np.inf
             keep &= vals <= neighbour
+    for axis in range(0, vals.ndim, 2):
+        np.moveaxis(keep, (axis, axis + 1), (0, 1))[[0, -1], 1:] = False
     return keep

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qergodic import blocks
 from qergodic.blocks import (
     AlgebraMap,
     BlockStructure,
@@ -275,3 +276,37 @@ def test_positive_cone_properties():
             assert is_positive(sq)
             r = support_of_positive(sq)
             assert (r * sq - sq).norm_inf() < 1e-9
+
+
+def test_element_caches_one_eigh_per_size_class(kp, monkeypatch):
+    from qergodic.walks import WalkState, support_projection
+
+    calls = []
+    eigh = blocks._eigh
+    monkeypatch.setattr(blocks, "_eigh", lambda stack: calls.append(stack.shape) or eigh(stack))
+    raw = random_positive(kp.structure, RNG)
+    density = raw * (1.0 / kp.haar(raw).real)
+    p = support_projection(WalkState.from_density(kp, density))
+    # the state's positivity check, then the positivity check and spectral decomposition of
+    # support_of_positive, share one eigendecomposition per size class: four 1x1, one 2x2
+    assert calls == [(4, 1, 1), (1, 2, 2)]
+    assert is_projection(p, 1e-8)
+
+    # an element made by arithmetic starts empty and computes its own
+    scaled = density * 1.0
+    assert scaled._herm is None and scaled._eig is None
+    calls.clear()
+    support_of_positive(scaled)
+    assert len(calls) == 2
+
+    # cached answers are those of a fresh element with the same coordinates
+    fresh = kp.structure.from_coords(density.coords())
+    for (lam, q), (lam_fresh, q_fresh) in zip(spectral_decomposition(density),
+                                              spectral_decomposition(fresh), strict=True):
+        assert lam == lam_fresh
+        assert np.array_equal(q.coords(), q_fresh.coords())
+    assert density._hermitian_defect() == fresh._hermitian_defect()
+    assert np.array_equal(abs_element(density).coords(), abs_element(fresh).coords())
+    for (vals, vecs), s in zip(density._eighs(), blocks._stacks(density)):
+        assert not vals.flags.writeable and not vecs.flags.writeable
+        assert all(np.array_equal(x, y) for x, y in zip((vals, vecs), eigh(s)))

@@ -290,3 +290,23 @@ def test_f_c2_one_norm_of_sign_vector(f_c2):
 
     a = f_c2.structure.from_coords(np.array([1.0, -1.0]))
     assert abs(p_norm(a, f_c2.haar, 1) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_state_constructors_refuse_non_finite_input(bad, f_c2, dual_s3, s3, kp):
+    # refused by name before any norm, SVD or eigendecomposition sees the value
+    mats = perm_rep_matrices(s3)
+    broken_mats = np.array(mats, dtype=complex)
+    broken_mats[1, 0, 0] = bad
+    cases = [
+        ("xi", lambda: state_from_positive_definite(dual_s3, mats, [bad, 0, 0])),
+        ("rho", lambda: state_from_positive_definite(dual_s3, broken_mats, [1, 0, 0])),
+        ("values", lambda: dual_state_from_values(dual_s3, [1.0] + [bad] * 5)),
+        ("values", lambda: dual_state_from_values(dual_s3, [bad] * 6, check=False)),
+        ("xi", lambda: kp_pure_state(kp, 4, [bad, 0.0])),
+        ("xi", lambda: kp_pure_state(kp, 4, [1.0, 1j * bad])),
+        ("weights", lambda: classical_state(f_c2, ("weights", {0: 1.0, 1: bad}))),
+    ]
+    for name, build in cases:
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            build()

@@ -307,3 +307,26 @@ def test_dual_values_via_central(tmp_path):
     assert code == 0
     payload = json.loads((out / "verdict.json").read_text())
     assert payload["tag"] == "reducible"
+
+
+def test_experiment_matches_the_recorded_reference(tmp_path):
+    # a periodic Kac-Paljutkin walk; the payload was recorded before support projections
+    # shared one eigendecomposition per element
+    path = os.path.join(os.path.dirname(__file__), "data", "kp_experiment_reference.json")
+    with open(path) as fh:
+        reference = json.load(fh)
+    code, out = run_cli(tmp_path, "experiment", reference["config"])
+    assert code == 0
+    payload = json.loads((out / "experiment.json").read_text())
+
+    def close(got, want):
+        if isinstance(want, dict):
+            return got.keys() == want.keys() and all(close(got[k], want[k]) for k in want)
+        if isinstance(want, list):
+            return len(got) == len(want) and all(map(close, got, want))
+        try:
+            return abs(float(got) - float(want)) <= 1e-12
+        except (TypeError, ValueError):
+            return got == want
+
+    assert close(payload, reference["payload"])

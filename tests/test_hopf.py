@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -27,7 +28,15 @@ from qergodic.groups import (
     subgroups,
     symmetric_group,
 )
-from qergodic.hopf import FiniteQuantumGroup, StructuralError, UnsupportedError, _bloch_assemble
+from qergodic.hopf import (
+    _START_TOL,
+    FiniteQuantumGroup,
+    StructuralError,
+    UnsupportedError,
+    _bloch_assemble,
+    _bloch_monomials,
+    _grid_minima,
+)
 
 RNG = np.random.default_rng(777)
 
@@ -300,6 +309,77 @@ def test_bloch_assembly_matches_per_point_formula():
             nx, ny, nz = np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)
             expected[off:off + 4] = 0.5 * np.array([1 + nz, nx - 1j * ny, nx + 1j * ny, 1 - nz])
         assert np.abs(row - expected).max() <= 1e-15
+
+
+def test_polarized_scan_matches_direct_defects(kp):
+    # one rank-1 block (Kac-Paljutkin) and two (C[D5]), around a random base
+    for qg in (kp, dihedral5_dual()):
+        st = qg.structure
+        offsets = np.array([off for off, n in zip(st.offsets, st.dims) if n == 2])
+        base = 0.5 * (RNG.uniform(-1, 1, st.dim) + 1j * RNG.uniform(-1, 1, st.dim))
+        angles = RNG.uniform(0.0, 2 * np.pi, size=(300, 2 * len(offsets)))
+        direct = qg._group_like_defect_batch(_bloch_assemble(base, offsets, angles))
+        scan = _bloch_monomials(angles) @ qg._defect_terms(base, offsets)
+        polarized = scan[:, :st.dim ** 2] + 1j * scan[:, st.dim ** 2:]
+        assert np.abs(polarized - direct).max() <= 1e-12
+        assert np.abs(np.sqrt(np.vecdot(scan, scan)) - np.linalg.norm(direct, axis=1)).max() <= 1e-12
+
+
+def neighbour_minima(vals):
+    """Grid points below _START_TOL and no larger than each neighbour, one point at a time.
+
+    Theta axes (even) stop at their ends, phi axes (odd) wrap around.
+    """
+    keep = np.zeros(vals.shape, dtype=bool)
+    for point in itertools.product(*map(range, vals.shape)):
+        ok = vals[point] < _START_TOL
+        for axis, size in enumerate(vals.shape):
+            for step in (1, -1):
+                other = list(point)
+                other[axis] += step
+                if axis % 2 == 0 and not 0 <= other[axis] < size:
+                    continue
+                other[axis] %= size
+                ok = ok and vals[point] <= vals[tuple(other)]
+        keep[point] = ok
+    return keep
+
+
+@pytest.mark.parametrize("jitter", [0.0, 1e-16])
+def test_grid_minima_start_once_per_pole(jitter):
+    rng = np.random.default_rng(5)
+    # one sphere: both pole rows flat (or jittered) below _START_TOL, three interior minima
+    vals = rng.uniform(0.3, 0.5, size=(12, 12))
+    vals[[0, -1]] = 0.2 + jitter * rng.standard_normal((2, 12))
+    planted = [(1, 4), (5, 0), (10, 11)]
+    for point in planted:
+        vals[point] = 0.1
+    keep = _grid_minima(vals)
+    assert sorted(zip(*np.nonzero(keep))) == sorted([(0, 0), (11, 0)] + planted)
+    assert np.array_equal(keep[1:-1], neighbour_minima(vals)[1:-1])
+
+    # two spheres: both at their north poles is one point; sphere 1 at its south pole is one
+    # point for each (theta_2, phi_2), and only the planted one is a minimum there
+    vals = rng.uniform(0.3, 0.5, size=(6,) * 4)
+    vals[0, :, 0, :] = 0.1 + jitter * rng.standard_normal((6, 6))
+    vals[-1, :, 3, 2] = 0.15 + jitter * rng.standard_normal(6)
+    vals[2, 3, 4, 1] = 0.05
+    keep = _grid_minima(vals)
+    assert sorted(zip(*np.nonzero(keep))) == [(0, 0, 0, 0), (2, 3, 4, 1), (5, 0, 3, 2)]
+    inner = (slice(1, -1), slice(None)) * 2
+    assert np.array_equal(keep[inner], neighbour_minima(vals)[inner])
+
+
+def test_census_matches_the_recorded_reference(kp, dual_s3):
+    # coordinates recorded before the census scan was rewritten as a polarized product
+    path = os.path.join(os.path.dirname(__file__), "data", "census_reference.json")
+    with open(path) as fh:
+        reference = json.load(fh)
+    for qg in (kp, dual_s3):
+        found = np.array([p.coords() for p in qg.find_group_like_projections()])
+        expected = np.array(reference[qg.label]["re"]) + 1j * np.array(reference[qg.label]["im"])
+        assert found.shape == expected.shape
+        assert np.abs(found - expected).max() <= 1e-12
 
 
 def test_census_without_2x2_blocks_leaves_scipy_optimize_unloaded():
