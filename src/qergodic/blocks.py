@@ -3,14 +3,20 @@
 An algebra is a list of block dimensions (n_1, ..., n_N).  Everything --
 elements, linear functionals, linear maps -- is stored against one canonical
 coordinate basis: the blocks of an element concatenated in row-major order,
-so the coordinate space has dimension D = sum(n_i**2).  An element is one
-read-only coordinate vector.  Blocks of equal size form a size class, whose
-(m, n, n) index array stacks its m blocks out of the coordinates: sums and
-the adjoint act on the vector, while products, norms and spectra make one
-batched matmul, SVD or eigendecomposition per size class.  As the coordinates
-never change, an element computes its Hermitian defect and the
-eigendecomposition of its size classes at most once, on first use, and keeps
-them for every later Hermitian, positivity or spectral question.  Tensor
+so the coordinate space has dimension D = sum(n_i**2).  Many elements are one
+(N, D) stack of coordinate rows, and one element is the read-only vector (D,).
+Blocks of equal size form a size class, whose (m, n, n) index array takes
+its m blocks out of the coordinates, of every row at once: sums and the
+adjoint act on the rows, while products, norms, spectra, spectral clusters
+and supports (``products``, ``norms_inf``, ``eighs``, ``spectral_clusters``,
+``supports_of_positive``, ...) make one batched matmul, SVD or
+eigendecomposition per size class over the whole stack.  These functions
+take (D,) or (N, D) coordinates, and a row's result is bitwise that of the
+row alone, so the methods of :class:`AlgebraElement` are the same functions
+called on the element's own vector.  As the coordinates never change, an
+element computes its Hermitian defect and the eigendecomposition of its size
+classes at most once, on first use, and keeps them for every later
+Hermitian, positivity or spectral question.  Tensor
 products of two such algebras are again of this form (Kronecker blocks in
 lexicographic order); :class:`TensorSplit` holds the bookkeeping between the
 canonical coordinates of the product and the Kronecker order of the factors.
@@ -18,6 +24,7 @@ canonical coordinates of the product and the Kronecker order of the factors.
 
 from __future__ import annotations
 
+import functools
 import numbers
 
 import numpy as np
@@ -187,10 +194,8 @@ class AlgebraElement:
             return AlgebraElement._own(self.structure, self._coords * other)
         if isinstance(other, AlgebraElement):
             self._check_same(other)
-            out = np.empty_like(self._coords)
-            for _, _, idx in self.structure.size_classes:
-                out[idx] = self._coords[idx] @ other._coords[idx]
-            return AlgebraElement._own(self.structure, out)
+            return AlgebraElement._own(self.structure,
+                                       products(self.structure, self._coords, other._coords))
         return NotImplemented
 
     def __rmul__(self, other):
@@ -199,22 +204,22 @@ class AlgebraElement:
         return NotImplemented
 
     def adjoint(self):
-        return AlgebraElement._own(self.structure, self._coords.conj()[self.structure.star_perm])
+        return AlgebraElement._own(self.structure, adjoints(self.structure, self._coords))
 
     def norm_inf(self):
         """Operator norm: the largest singular value over all blocks."""
-        return max(_singular_values(s).max() for s in _stacks(self))
+        return norms_inf(self.structure, self._coords)
 
     def _hermitian_defect(self):
         """||a - a*||, computed once."""
         if self._herm is None:
-            self._herm = (self - self.adjoint()).norm_inf()
+            self._herm = hermitian_defects(self.structure, self._coords)
         return self._herm
 
     def _eighs(self):
-        """(eigenvalues, eigenvectors) of :func:`_eigh` per size class, computed once, read-only."""
+        """:func:`eighs` of the coordinates, computed once, read-only."""
         if self._eig is None:
-            eigs = tuple(_eigh(s) for s in _stacks(self))
+            eigs = eighs(self.structure, self._coords)
             for arr in (a for pair in eigs for a in pair):
                 arr.flags.writeable = False
             self._eig = eigs
@@ -227,10 +232,146 @@ class AlgebraElement:
         return f"AlgebraElement(dims={self.structure.dims})"
 
 
-def _stacks(a):
-    """The (m, n, n) stack of the blocks of each size class of ``a``."""
-    c = a.coords()
-    return [c[idx] for _, _, idx in a.structure.size_classes]
+# -- stacks: (D,) or (N, D) coordinates, one batched call per size class ---------------
+
+
+def products(structure, x, y):
+    """Blockwise products of the rows of two coordinate stacks of the same shape."""
+    out = np.empty_like(x, dtype=complex)
+    for _, _, idx in structure.size_classes:
+        out[..., idx] = x.take(idx, axis=-1) @ y.take(idx, axis=-1)
+    return out
+
+
+def adjoints(structure, x):
+    """Coordinates of the adjoint of each row: transpose and conjugate every block."""
+    return x.take(structure.star_perm, axis=-1).conj()
+
+
+def norms_inf(structure, x):
+    """Operator norm of each row: the largest singular value over its blocks."""
+    return functools.reduce(np.maximum, [_singular_values(x.take(idx, axis=-1)).max((-2, -1))
+                                         for _, _, idx in structure.size_classes])
+
+
+def hermitian_defects(structure, x):
+    """||a - a*|| of each row."""
+    return norms_inf(structure, x - adjoints(structure, x))
+
+
+def eighs(structure, x):
+    """(eigenvalues (..., m, n), eigenvectors (..., m, n, n)) of :func:`_eigh` per size class."""
+    return tuple([_eigh(x.take(idx, axis=-1)) for _, _, idx in structure.size_classes])
+
+
+def positive_rows(structure, x, eigs=None, defects=None, tol=POSITIVITY_TOL):
+    """Whether each row is Hermitian within ``tol`` with all block eigenvalues >= -tol.
+
+    ``eigs`` and ``defects`` are :func:`eighs` and :func:`hermitian_defects`
+    of ``x`` when the caller has them already.
+    """
+    eigs = eighs(structure, x) if eigs is None else eigs
+    defects = hermitian_defects(structure, x) if defects is None else defects
+    lowest = functools.reduce(np.minimum, [vals.min((-2, -1)) for vals, _ in eigs])
+    return (defects <= tol) & (lowest >= -tol)
+
+
+def _ranked_eigenvalues(eigs):
+    """``(lam, ranked, starts)`` of the rows of :func:`eighs`, as (N, S), (N, S), (N, S - 1).
+
+    ``lam`` lists each row's eigenvalues size class by size class and block by
+    block, ``ranked`` sorts them, and ``starts`` holds the lowest eigenvalue of
+    each cluster but the first: the one after a gap above ``CLUSTER_TOL``, inf
+    after a smaller gap.
+    """
+    lam = np.concatenate([vals.reshape(vals.shape[:-2] + (vals.shape[-2] * vals.shape[-1],))
+                          for vals, _ in eigs], -1)
+    lam = lam.reshape(-1, lam.shape[-1])
+    ranked = np.sort(lam, axis=-1)
+    gaps = ranked[:, 1:] - ranked[:, :-1]
+    return lam, ranked, np.where(gaps > CLUSTER_TOL, ranked[:, 1:], np.inf)
+
+
+def cluster_counts(eigs):
+    """Number of :func:`spectral_clusters` of each row."""
+    _, _, starts = _ranked_eigenvalues(eigs)
+    return (1 + (starts < np.inf).sum(-1)).reshape(eigs[0][0].shape[:-2])
+
+
+def spectral_clusters(eigs):
+    """Eigenvalues of each row merged into clusters closer than ``CLUSTER_TOL``.
+
+    ``eigs`` is :func:`eighs` of the rows.  Returns ``(cluster, means)``: the
+    cluster of each eigenvalue slot (..., S), in the order of ``eigs``, and the
+    mean eigenvalue of each cluster (..., K), ascending, K the largest number
+    of clusters of a row and -inf past a row's own.  Clusters are runs of the
+    sorted eigenvalues without a gap above ``CLUSTER_TOL``, so a row's
+    clusters do not depend on what is stacked with it.  Each mean is the sum
+    of its eigenvalues in ascending order, divided by their number.
+    """
+    lead = eigs[0][0].shape[:-2]
+    lam, ranked, starts = _ranked_eigenvalues(eigs)
+    # the cluster of an eigenvalue is the number of cluster starts at or below it
+    cluster = (starts[:, None, :] <= lam[:, :, None]).sum(-1)
+    ranked_cluster = np.sort(cluster, axis=-1)
+    k = 1 + int(ranked_cluster[:, -1].max(initial=-1))
+    rows = np.arange(len(lam))[:, None]
+    sums = np.zeros((len(lam), k))
+    sizes = np.zeros((len(lam), k))
+    np.add.at(sums, (rows, ranked_cluster), ranked)  # in ascending order
+    np.add.at(sizes, (rows, ranked_cluster), 1)
+    means = np.divide(sums, sizes, out=np.full_like(sums, -np.inf), where=sizes > 0)
+    return cluster.reshape(lead + lam.shape[-1:]), means.reshape(lead + (k,))
+
+
+def cluster_projections(structure, eigs, cluster, k):
+    """Spectral projection of each of the first ``k`` clusters of each row, (..., k, D).
+
+    ``cluster`` is that of :func:`spectral_clusters`.  Within a block, each
+    coordinate sums the outer products v v* of its cluster's eigenvectors in
+    eigenvector order, as a row alone would.
+    """
+    lead = cluster.shape[:-1]
+    cluster = cluster.reshape(-1, cluster.shape[-1])
+    rows = np.arange(len(cluster))[:, None, None, None, None]
+    proj = np.zeros((len(cluster), k, structure.dim), dtype=complex)
+    first = 0  # the first eigenvalue slot of the size class
+    for (n, ids, idx), (_, vecs) in zip(structure.size_classes, eigs):
+        slots = cluster[:, first:first + len(ids) * n].reshape(-1, len(ids), n, 1, 1)
+        first += len(ids) * n
+        if n == 1:  # a 1x1 block is the projection of its one eigenvalue
+            proj[rows, slots, idx[:, None]] = 1
+            continue
+        vecs = vecs.reshape((-1,) + vecs.shape[-3:])
+        # outer[N, m, j] = v v* for the j-th eigenvector v of block m, added in order of j
+        outer = np.einsum("...mrj,...mcj->...mjrc", vecs, vecs.conj())
+        np.add.at(proj, (rows, slots, idx[:, None]), outer)
+    return proj.reshape(lead + (k, structure.dim))
+
+
+def projection_sums(proj, keep):
+    """Sum of the projections ``proj`` (..., K, D) whose ``keep`` (..., K) is set.
+
+    Each row sums from zero, in order of K: a cumulative sum adds one
+    projection at a time, as a loop over them would.
+    """
+    zero = np.zeros(proj.shape[:-2] + (1,) + proj.shape[-1:], dtype=complex)
+    kept = np.where(keep[..., None], proj, 0)
+    return np.concatenate([zero, kept], axis=-2).cumsum(axis=-2)[..., -1, :]
+
+
+def supports_of_positive(structure, x, tol=POSITIVITY_TOL, eigs=None, defects=None):
+    """Range projection of each row: the sum of its spectral projections with eigenvalue > tol.
+
+    Raises DomainError unless every row is positive (see :func:`positive_rows`).
+    """
+    eigs = eighs(structure, x) if eigs is None else eigs
+    positive = positive_rows(structure, x, eigs, defects, tol)
+    if np.count_nonzero(positive) < positive.size:
+        raise DomainError("support is defined for positive elements only")
+    cluster, means = spectral_clusters(eigs)
+    return projection_sums(cluster_projections(structure, eigs, cluster, means.shape[-1]),
+                           means > tol)
 
 
 def _singular_values(stack):
@@ -241,9 +382,9 @@ def _singular_values(stack):
 
 
 def _eigh(stack):
-    """Eigenvalues (m, n), ascending, and eigenvectors (m, n, n) of each block's Hermitian part."""
+    """Ascending eigenvalues (..., n), eigenvectors (..., n, n) of each block's Hermitian part."""
     if stack.shape[-1] == 1:
-        return stack.real[:, :, 0], np.ones_like(stack)
+        return stack.real[..., 0], np.ones_like(stack)
     return np.linalg.eigh((stack + stack.conj().swapaxes(-1, -2)) / 2)
 
 
@@ -265,6 +406,14 @@ class LinearFunctional:
         if element.structure != self.structure:
             raise ShapeError("functional and element structures differ")
         return complex(self.coeffs @ element.coords())
+
+    def values(self, coords):
+        """The functional on each row of a (D,) or (N, D) coordinate stack.
+
+        One dot product a row (``vecdot``, not a matrix-vector product), so
+        each value is bitwise that of calling the functional on the row.
+        """
+        return np.vecdot(self.coeffs.conj(), coords)
 
     def __repr__(self):
         return f"LinearFunctional(dims={self.structure.dims})"
@@ -359,7 +508,7 @@ def is_positive(a, tol=POSITIVITY_TOL):
     """Hermitian within ``tol`` and all block eigenvalues >= -tol."""
     if not a.is_hermitian(tol):
         return False
-    return not any(vals.min() < -tol for vals, _ in a._eighs())
+    return bool(positive_rows(a.structure, a.coords(), a._eighs(), a._hermitian_defect(), tol))
 
 
 def is_projection(a, tol=POSITIVITY_TOL):
@@ -370,47 +519,24 @@ def spectral_decomposition(a, herm_tol=POSITIVITY_TOL):
     """Eigenvalues and spectral projections of a Hermitian element.
 
     Returns ``[(lam, P)]`` with eigenvalues ascending, eigenvalues closer than
-    ``CLUSTER_TOL`` merged into a single projection.  The projections are
-    pairwise orthogonal and sum to the unit.
+    ``CLUSTER_TOL`` merged into a single projection (see
+    :func:`spectral_clusters`).  The projections are pairwise orthogonal and
+    sum to the unit.
     """
     if not a.is_hermitian(herm_tol):
         raise DomainError("spectral decomposition requires a Hermitian element")
     st = a.structure
-    # eigenvalue slots in block order, ascending within a block, ahead of the
-    # stable sort: ties keep that order, so the clusters do not depend on batching
-    first = np.cumsum((0,) + st.dims[:-1])
-    lam = np.empty(sum(st.dims))
-    eigs = []
-    for (n, ids, idx), (vals, vecs) in zip(st.size_classes, a._eighs()):
-        slots = first[ids][:, None] + np.arange(n)
-        lam[slots] = vals
-        eigs.append((slots, idx, vecs))
-    order = np.argsort(lam, kind="stable")
-    ranked = lam[order]
-    breaks = np.flatnonzero(np.diff(ranked) > CLUSTER_TOL) + 1
-    cluster = np.empty(len(lam), dtype=np.intp)
-    cluster[order] = np.searchsorted(breaks, np.arange(len(lam)), side="right")
-    proj = np.zeros((len(breaks) + 1, st.dim), dtype=complex)
-    for slots, idx, vecs in eigs:
-        # outer[m, j] = v v* for the j-th eigenvector v of block m
-        outer = np.einsum("mrj,mcj->mjrc", vecs, vecs.conj())
-        np.add.at(proj, (cluster[slots][:, :, None, None], idx[:, None, :, :]), outer)
-    bounds = [0, *breaks.tolist(), len(lam)]
-    return [
-        (sum(ranked[lo:hi].tolist()) / (hi - lo), AlgebraElement._own(st, proj[k]))
-        for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
-    ]
+    eigs = a._eighs()
+    cluster, means = spectral_clusters(eigs)
+    proj = cluster_projections(st, eigs, cluster, len(means))
+    return [(float(lam), AlgebraElement._own(st, p)) for lam, p in zip(means, proj)]
 
 
 def support_of_positive(a, tol=POSITIVITY_TOL):
     """Range projection of a positive element: sum of spectral projections with eigenvalue > tol."""
-    if not is_positive(a, tol):
-        raise DomainError("support is defined for positive elements only")
-    out = a.structure.zero()
-    for lam, p in spectral_decomposition(a, herm_tol=max(tol, POSITIVITY_TOL)):
-        if lam > tol:
-            out = out + p
-    return out
+    st = a.structure
+    return AlgebraElement._own(
+        st, supports_of_positive(st, a.coords(), tol, a._eighs(), a._hermitian_defect()))
 
 
 def abs_element(a):

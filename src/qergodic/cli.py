@@ -19,21 +19,22 @@ import sys
 
 import numpy as np
 
-from . import catalog, ergodicity, walks
-from .blocks import random_positive, spectral_decomposition, support_of_positive
+from . import blocks, catalog, ergodicity, walks
 from .groups import build_group, permutation_matrices, s3_standard_integral
 from .hopf import UnsupportedError
 from .tolerances import (
     CLUSTER_TOL,
     CYCLIC_COMUL_TOL,
+    POSITIVITY_TOL,
     PROBE_MASS_FLOOR,
     PROBE_ORDER_TOL,
     PROBE_VIOLATION_TOL,
-    SUPPORT_CUTOFF,
     XI_NORM_GATE,
 )
 
 SCHEMA_VERSION = 1
+PROBE_TRIALS = 40  # support-monotonicity trials of experiment
+CHAIN_LENGTH = 12  # Cesaro averages in experiment's chain
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -403,6 +404,66 @@ def cmd_grouplikes(qgroup, state, args):
     return _json_text(payload), "grouplikes.json"
 
 
+def _support_monotonicity(qgroup, rng):
+    """(trials, skipped, violations) of the probe: does p_nu <= p_mu force p_{nu*nu} <= p_{mu*mu}?
+
+    Each trial draws a positive h, cuts ``cut1 <= cut2`` into its spectral
+    clusters (a trial with one cluster draws nothing more and is skipped),
+    then positive a and b: nu and mu are the states of small a small and
+    big b big, with small (big) the sum of h's first cut1 (cut2) cluster
+    projections.  A trial with a Haar mass below ``PROBE_MASS_FLOOR``, or
+    with p_nu <= p_mu failing, is skipped.  Only the draws run trial by
+    trial, in that fixed order; the rest runs once over the stack of trials.
+    """
+    st = qgroup.structure
+    skipped = 0
+    draws = []  # (h, cut1, cut2, a, b) per trial with two clusters
+    for _ in range(PROBE_TRIALS):
+        h = blocks.random_positive(st, rng)
+        count = int(blocks.cluster_counts(h._eighs()))
+        if count < 2:
+            skipped += 1
+            continue
+        cut1 = rng.integers(1, count)
+        cut2 = rng.integers(cut1, count + 1)
+        draws.append((h, cut1, cut2, blocks.random_element(st, rng).coords(),
+                      blocks.random_element(st, rng).coords()))
+    if not draws:
+        return 0, skipped, 0
+    h, cut1, cut2, a, b = zip(*draws)
+    if np.any(blocks.hermitian_defects(st, np.array([e.coords() for e in h])) > POSITIVITY_TOL):
+        raise blocks.DomainError("spectral decomposition requires a Hermitian element")
+    eigs = tuple(tuple(np.stack(arrs) for arrs in zip(*pairs))
+                 for pairs in zip(*(e._eighs() for e in h)))
+    cluster, means = blocks.spectral_clusters(eigs)
+    parts = blocks.cluster_projections(st, eigs, cluster, means.shape[-1])
+    rank = np.arange(means.shape[-1])
+    small = blocks.projection_sums(parts, rank < np.array(cut1)[:, None])
+    big = blocks.projection_sums(parts, rank < np.array(cut2)[:, None])
+    a, b = (blocks.products(st, blocks.adjoints(st, z), z) for z in (np.array(a), np.array(b)))
+    da = blocks.products(st, blocks.products(st, small, a), small)
+    db = blocks.products(st, blocks.products(st, big, b), big)
+    mass_a, mass_b = qgroup.haar.values(da).real, qgroup.haar.values(db).real
+    heavy = (mass_a >= PROBE_MASS_FLOOR) & (mass_b >= PROBE_MASS_FLOOR)
+    skipped += int(np.count_nonzero(~heavy))
+    nu = da[heavy] * (1 / mass_a[heavy])[:, None]
+    mu = db[heavy] * (1 / mass_b[heavy])[:, None]
+    nu_f, mu_f = (walks.functionals_from_densities(qgroup, d) for d in (nu, mu))
+    p_nu = walks.support_projections(qgroup, nu, nu_f)
+    p_mu = walks.support_projections(qgroup, mu, mu_f)
+    ordered = blocks.norms_inf(st, blocks.products(st, p_mu, p_nu) - p_nu) <= PROBE_ORDER_TOL
+    skipped += int(np.count_nonzero(~ordered))
+
+    def self_convolution_supports(f):
+        c = walks.convolution_coeffs(qgroup, f, f)
+        return walks.support_projections(qgroup, walks.densities_from_functionals(qgroup, c), c)
+
+    p_nu2 = self_convolution_supports(nu_f[ordered])
+    p_mu2 = self_convolution_supports(mu_f[ordered])
+    violated = blocks.norms_inf(st, blocks.products(st, p_mu2, p_nu2) - p_nu2) > PROBE_VIOLATION_TOL
+    return int(np.count_nonzero(ordered)), skipped, int(np.count_nonzero(violated))
+
+
 def cmd_experiment(qgroup, state, args):
     """Numeric probes for the open questions; reported, never asserted."""
     rng = np.random.default_rng(0)
@@ -426,40 +487,7 @@ def cmd_experiment(qgroup, state, args):
     else:
         payload["cyclic_comultiplication"] = None
 
-    trials = violations = skipped = 0
-    for _ in range(40):
-        h = random_positive(qgroup.structure, rng)
-        parts = [p for _, p in spectral_decomposition(h)]
-        if len(parts) < 2:
-            skipped += 1
-            continue
-        cut1 = rng.integers(1, len(parts))
-        cut2 = rng.integers(cut1, len(parts) + 1)
-        small = qgroup.structure.zero()
-        for p in parts[:cut1]:
-            small = small + p
-        big = qgroup.structure.zero()
-        for p in parts[:cut2]:
-            big = big + p
-        a = random_positive(qgroup.structure, rng)
-        b = random_positive(qgroup.structure, rng)
-        da = small * a * small
-        db = big * b * big
-        if qgroup.haar(da).real < PROBE_MASS_FLOOR or qgroup.haar(db).real < PROBE_MASS_FLOOR:
-            skipped += 1
-            continue
-        nu = walks.WalkState.from_density(qgroup, da * (1 / qgroup.haar(da).real))
-        mu = walks.WalkState.from_density(qgroup, db * (1 / qgroup.haar(db).real))
-        p_nu = walks.support_projection(nu)
-        p_mu = walks.support_projection(mu)
-        if (p_mu * p_nu - p_nu).norm_inf() > PROBE_ORDER_TOL:
-            skipped += 1
-            continue
-        trials += 1
-        p_nu2 = walks.support_projection(walks.convolve(nu, nu))
-        p_mu2 = walks.support_projection(walks.convolve(mu, mu))
-        if (p_mu2 * p_nu2 - p_nu2).norm_inf() > PROBE_VIOLATION_TOL:
-            violations += 1
+    trials, skipped, violations = _support_monotonicity(qgroup, rng)
     payload["support_monotonicity"] = {
         "question": "does p_nu <= p_mu force p_{nu*nu} <= p_{mu*mu}",
         "trials": trials,
@@ -468,17 +496,20 @@ def cmd_experiment(qgroup, state, args):
     }
 
     chain = []
-    acc = state.functional.coeffs.copy()
-    T = walks.stochastic_operator(state)
-    coeffs = state.functional.coeffs
-    for n in range(1, 13):
-        if n > 1:
-            coeffs = T.matrix.T @ coeffs
-            acc = acc + coeffs
-        avg = walks.WalkState.from_functional_coeffs(qgroup, acc / n, check=state.checked)
-        if state.checked:
-            supp = support_of_positive(avg.density, SUPPORT_CUTOFF)
-            chain.append({"n": n, "haar_mass": _fmt(qgroup.haar(supp).real)})
+    if state.checked:
+        T = walks.stochastic_operator(state)
+        coeffs = state.functional.coeffs
+        acc = coeffs.copy()
+        averages = np.empty((CHAIN_LENGTH, qgroup.dim), dtype=complex)
+        for n in range(1, CHAIN_LENGTH + 1):
+            if n > 1:
+                coeffs = T.matrix.T @ coeffs
+                acc = acc + coeffs
+            averages[n - 1] = acc / n
+        supports = walks.support_projections(
+            qgroup, walks.densities_from_functionals(qgroup, averages), averages)
+        chain = [{"n": n, "haar_mass": _fmt(mass.real)}
+                 for n, mass in enumerate(qgroup.haar.values(supports), 1)]
     payload["cesaro_chain"] = chain
     return _json_text(payload), "experiment.json"
 

@@ -5,6 +5,8 @@ the density/functional duality: nu(g) = haar(f_nu * g).  Because the Haar state
 is tracial with strictly positive block weights w_i, the two faces are related
 by a per-block transpose (the ``star_perm`` gather) and a per-coordinate scale
 by the weight of the coordinate's block, which keeps every conversion exact.
+The conversions, the state checks, supports and convolution also take
+(N, D) stacks of densities or functionals, one state a row.
 """
 
 from __future__ import annotations
@@ -15,11 +17,14 @@ from .blocks import (
     DomainError,
     LinearFunctional,
     ShapeError,
-    is_positive,
+    eighs,
+    hermitian_defects,
     lp_norms,
     p_norm,
+    positive_rows,
     random_positive,
     support_of_positive,
+    supports_of_positive,
 )
 from .tolerances import (
     AGREEMENT_TOL,
@@ -42,14 +47,59 @@ class NumericError(RuntimeError):
     """A numeric identity that theory guarantees failed to hold."""
 
 
-def functional_coeffs_from_density(group, density):
-    return group.haar_coord_weights * density.coords()[group.structure.star_perm]
+def functionals_from_densities(group, densities):
+    """Functional coefficients of each density row of a (D,) or (N, D) stack."""
+    return group.haar_coord_weights * densities.take(group.structure.star_perm, axis=-1)
+
+
+def densities_from_functionals(group, coeffs):
+    """Density coordinates of each functional row of a (D,) or (N, D) stack."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    return coeffs.take(group.structure.star_perm, axis=-1) / group.haar_coord_weights
 
 
 def density_from_functional(group, coeffs):
+    return group.structure.from_coords(densities_from_functionals(group, coeffs))
+
+
+def _require_finite(values, what):
+    """DomainError naming the first non-finite entry of a (D,) or (N, D) stack."""
+    finite = np.isfinite(values)
+    if np.count_nonzero(finite) < finite.size:
+        *row, k = np.argwhere(~finite)[0].tolist()
+        where = f" of row {row[0]}" if row else ""
+        raise DomainError(f"{what} {k}{where} is not finite: {values[(*row, k)]}")
+
+
+def check_states(group, densities, functionals, eigs=None, defects=None):
+    """DomainError unless each row of the (D,) or (N, D) stacks is a state.
+
+    A row is a state when its density coordinates are finite, its density is
+    positive, haar(f) = 1 and nu(1) = 1 (within ``STATE_NORM_TOL``).
+    ``densities`` and ``functionals`` are the two faces of the same rows;
+    ``eigs`` and ``defects`` are those of the densities, computed here unless
+    given.  Returns ``(eigs, defects)``.
+    """
+    _require_finite(densities, "density coordinate")
     st = group.structure
-    return st.from_coords(np.asarray(coeffs, dtype=complex)[st.star_perm]
-                          / group.haar_coord_weights)
+    eigs = eighs(st, densities) if eigs is None else eigs
+    defects = hermitian_defects(st, densities) if defects is None else defects
+    positive = positive_rows(st, densities, eigs, defects, POSITIVITY_TOL)
+    normalized = abs(group.haar.values(densities) - 1.0) <= STATE_NORM_TOL
+    unital = abs(functionals @ group.unit.coords() - 1.0) <= STATE_NORM_TOL
+    ok = positive & normalized & unital
+    if np.count_nonzero(ok) < ok.size:  # the first check that fails, in this order
+        raise DomainError(
+            "density is not positive" if np.count_nonzero(positive) < ok.size
+            else "density is not normalized" if np.count_nonzero(normalized) < ok.size
+            else "functional is not unital")
+    return eigs, defects
+
+
+def support_projections(group, densities, functionals):
+    """Support projection of each state of the stacks, after :func:`check_states`."""
+    eigs, defects = check_states(group, densities, functionals)
+    return supports_of_positive(group.structure, densities, SUPPORT_CUTOFF, eigs, defects)
 
 
 class WalkState:
@@ -66,11 +116,16 @@ class WalkState:
     def __init__(self, group, density=None, functional=None, check=True, label=""):
         if density is None and functional is None:
             raise ValueError("provide a density or a functional")
+        if check:  # ahead of the conversion, which would spread a NaN or inf
+            if density is None:
+                _require_finite(functional.coeffs, "functional coefficient")
+            else:
+                _require_finite(density.coords(), "density coordinate")
         if density is None:
             density = density_from_functional(group, functional.coeffs)
         if functional is None:
             functional = LinearFunctional(
-                group.structure, functional_coeffs_from_density(group, density)
+                group.structure, functionals_from_densities(group, density.coords())
             )
         if density.structure != group.structure:
             raise ShapeError("density does not live on the group's algebra")
@@ -80,12 +135,8 @@ class WalkState:
         self.label = label
         self.checked = bool(check)
         if check:
-            if not is_positive(density, POSITIVITY_TOL):
-                raise DomainError("density is not positive")
-            if abs(group.haar(density) - 1.0) > STATE_NORM_TOL:
-                raise DomainError("density is not normalized")
-            if abs(functional(group.unit) - 1.0) > STATE_NORM_TOL:
-                raise DomainError("functional is not unital")
+            check_states(group, density.coords(), functional.coeffs,
+                         density._eighs(), density._hermitian_defect())
 
     @classmethod
     def from_density(cls, group, density, check=True, label=""):
@@ -165,8 +216,18 @@ def convolve(nu, mu):
     if nu.group is not mu.group and nu.group.structure != mu.group.structure:
         raise ShapeError("states live on different quantum groups")
     group = nu.group
-    coeffs = group.comul_kron.T @ np.outer(nu.functional.coeffs, mu.functional.coeffs).ravel()
+    coeffs = convolution_coeffs(group, nu.functional.coeffs, mu.functional.coeffs)
     return WalkState.from_functional_coeffs(group, coeffs, check=nu.checked and mu.checked)
+
+
+def convolution_coeffs(group, nu, mu):
+    """Coefficients of nu * mu for the rows of two (D,) or (N, D) functional stacks.
+
+    The rows of the outer products nu (x) mu, (N, D^2), make one product with
+    ``comul_kron``.
+    """
+    outer = nu[..., :, None] * mu[..., None, :]
+    return outer.reshape(outer.shape[:-2] + (group.dim ** 2,)) @ group.comul_kron
 
 
 def convolution_power(nu, k):

@@ -3,10 +3,12 @@
 The library makes one batched LAPACK call per block size (a closed form for
 1x1 blocks); each reference below loops over the blocks one at a time, as a
 direct transcription of the definition, and the two must agree to 1e-12.
+The stacked functions, over (N, D) coordinate rows, must give each row
+bitwise what the element methods give that row alone.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qergodic import walks
@@ -15,11 +17,23 @@ from qergodic.blocks import (
     LinearFunctional,
     TensorSplit,
     abs_element,
+    adjoints,
+    cluster_counts,
+    cluster_projections,
+    eighs,
+    hermitian_defects,
     hermitian_part,
     is_positive,
+    norms_inf,
     p_norm,
+    positive_rows,
+    products,
     random_element,
+    random_positive,
+    spectral_clusters,
     spectral_decomposition,
+    support_of_positive,
+    supports_of_positive,
 )
 
 TOL = 1e-12
@@ -167,3 +181,54 @@ def test_distance_trace_of_a_formal_functional_matches_per_block(twodim_state):
         assert close([tv, l2, qsd], [0.5 * ref_l1, ref_l2, ref_inf])
         c = T.T @ c
     assert [row[0] for row in rows] == list(range(1, 31))
+
+
+def stack_of(elements, structure):
+    return np.array([e.coords() for e in elements]).reshape(len(elements), structure.dim)
+
+
+@settings(max_examples=60, deadline=None)
+@given(DIMS, SEEDS, st.integers(0, 5))
+@example((1, 1, 2, 2, 3), 0, 0)
+@example((1, 1, 2, 2, 3), 0, 1)
+def test_stacks_match_row_by_row(dims, seed, rows):
+    structure = BlockStructure(dims)
+    rng = np.random.default_rng(seed)
+    x = stack_of([random_element(structure, rng) for _ in range(rows)], structure)
+    y = stack_of([random_element(structure, rng) for _ in range(rows)], structure)
+    # Hermitian and positive rows, every other one with eigenvalues 0, 1, 2 only, so
+    # that clusters span blocks (and a signed copy of it among the Hermitian rows)
+    integer = [integer_spectrum(structure, rng) for _ in range(rows)]
+    herm = stack_of([hermitian_part(structure.from_coords(r)) if i % 2
+                     else integer[i] - structure.unit() for i, r in enumerate(x)], structure)
+    pos = stack_of([random_positive(structure, rng) if i % 2 else integer[i]
+                    for i in range(rows)], structure)
+
+    prod, adj = products(structure, x, y), adjoints(structure, x)
+    norms, defects = norms_inf(structure, x), hermitian_defects(structure, x)
+    eigs = eighs(structure, herm)
+    counts = cluster_counts(eigs)
+    cluster, means = spectral_clusters(eigs)
+    proj = cluster_projections(structure, eigs, cluster, means.shape[-1])
+    positive = positive_rows(structure, pos)
+    supports = supports_of_positive(structure, pos, 1e-8)
+    assert prod.shape == adj.shape == supports.shape == (rows, structure.dim)
+    assert norms.shape == defects.shape == counts.shape == positive.shape == (rows,)
+
+    for i in range(rows):
+        a, b = structure.from_coords(x[i]), structure.from_coords(y[i])
+        assert np.array_equal(prod[i], (a * b).coords())
+        assert np.array_equal(adj[i], a.adjoint().coords())
+        assert norms[i] == a.norm_inf() and defects[i] == a._hermitian_defect()
+        h = structure.from_coords(herm[i])
+        for (vals, vecs), (row_vals, row_vecs) in zip(eigs, h._eighs(), strict=True):
+            assert np.array_equal(vals[i], row_vals) and np.array_equal(vecs[i], row_vecs)
+        decomposition = spectral_decomposition(h)
+        assert counts[i] == len(decomposition)
+        assert np.all(means[i, len(decomposition):] == -np.inf)
+        for k, (lam, p) in enumerate(decomposition):
+            assert lam == means[i, k]
+            assert np.array_equal(proj[i, k], p.coords())
+        p = structure.from_coords(pos[i])
+        assert positive[i] and is_positive(p)
+        assert np.array_equal(supports[i], support_of_positive(p, 1e-8).coords())

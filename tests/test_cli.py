@@ -330,3 +330,91 @@ def test_experiment_matches_the_recorded_reference(tmp_path):
             return got == want
 
     assert close(payload, reference["payload"])
+
+
+def _experiment_cases():
+    path = os.path.join(os.path.dirname(__file__), "data", "experiment_reference.json")
+    with open(path) as fh:
+        return json.load(fh)["cases"]
+
+
+@pytest.mark.parametrize("case", _experiment_cases(), ids=lambda case: case["name"])
+def test_experiment_bytes_match_the_recorded_reference(tmp_path, case):
+    # recorded while the probe still ran element by element: the stacked probe keeps
+    # the draw order and the summation order of every printed quantity
+    code, out = run_cli(tmp_path, "experiment", case["config"])
+    assert code == 0
+    assert (out / "experiment.json").read_bytes() == case["output"].encode()
+
+
+def test_experiment_probe_runs_as_stacks(tmp_path, monkeypatch):
+    # one eigh per trial for the cluster count of h, a few over stacks, and those of
+    # classify; the probe element by element made 220
+    import numpy as np
+
+    case = next(c for c in _experiment_cases() if c["name"] == "KP-density")
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+    code, _ = run_cli(tmp_path, "experiment", case["config"])
+    assert code == 0
+    assert len(calls) <= 64
+
+
+def _probe_element_by_element(qgroup, rng):
+    """The support-monotonicity probe one element at a time, through the element API."""
+    from qergodic import cli, walks
+    from qergodic.blocks import random_positive, spectral_decomposition
+
+    trials = violations = skipped = 0
+    for _ in range(cli.PROBE_TRIALS):
+        h = random_positive(qgroup.structure, rng)
+        parts = [p for _, p in spectral_decomposition(h)]
+        if len(parts) < 2:
+            skipped += 1
+            continue
+        cut1 = rng.integers(1, len(parts))
+        cut2 = rng.integers(cut1, len(parts) + 1)
+        small = big = qgroup.structure.zero()
+        for p in parts[:cut1]:
+            small = small + p
+        for p in parts[:cut2]:
+            big = big + p
+        a = random_positive(qgroup.structure, rng)
+        b = random_positive(qgroup.structure, rng)
+        da, db = small * a * small, big * b * big
+        if min(qgroup.haar(da).real, qgroup.haar(db).real) < cli.PROBE_MASS_FLOOR:
+            skipped += 1
+            continue
+        nu = walks.WalkState.from_density(qgroup, da * (1 / qgroup.haar(da).real))
+        mu = walks.WalkState.from_density(qgroup, db * (1 / qgroup.haar(db).real))
+        p_nu, p_mu = walks.support_projection(nu), walks.support_projection(mu)
+        if (p_mu * p_nu - p_nu).norm_inf() > cli.PROBE_ORDER_TOL:
+            skipped += 1
+            continue
+        trials += 1
+        p_nu2 = walks.support_projection(walks.convolve(nu, nu))
+        p_mu2 = walks.support_projection(walks.convolve(mu, mu))
+        if (p_mu2 * p_nu2 - p_nu2).norm_inf() > cli.PROBE_VIOLATION_TOL:
+            violations += 1
+    return trials, skipped, violations
+
+
+@pytest.mark.parametrize("floors", [
+    {},
+    {"PROBE_MASS_FLOOR": 0.1},  # some trials skipped on their Haar mass, some not
+    {"PROBE_ORDER_TOL": -1.0},  # every trial skipped on the order of its supports
+    {"PROBE_VIOLATION_TOL": -1.0},  # every trial a violation
+])
+def test_stacked_probe_matches_the_probe_element_by_element(kp, dual_s3, f_c4, monkeypatch, floors):
+    import numpy as np
+
+    from qergodic import cli
+
+    for name, value in floors.items():
+        monkeypatch.setattr(cli, name, value)
+    for qgroup in (kp, dual_s3, f_c4):
+        got = cli._support_monotonicity(qgroup, np.random.default_rng(0))
+        want = _probe_element_by_element(qgroup, np.random.default_rng(0))
+        assert got == want
+        assert sum(got[:2]) == cli.PROBE_TRIALS

@@ -12,10 +12,13 @@ from qergodic.walks import (
     NumericError,
     WalkState,
     cesaro_limit,
+    check_states,
+    convolution_coeffs,
     convolution_power,
     convolve,
     counit_state,
     distances_to_random,
+    functionals_from_densities,
     haar_state,
     random_state,
     settled_power,
@@ -23,6 +26,7 @@ from qergodic.walks import (
     state_from_density,
     stochastic_operator,
     support_projection,
+    support_projections,
     total_variation,
 )
 
@@ -66,6 +70,38 @@ def test_invalid_density_rejected(f_s3):
         state_from_density(f_s3, -1 * f_s3.unit)
     with pytest.raises(DomainError):
         state_from_density(f_s3, 2 * f_s3.unit)
+
+
+@pytest.mark.parametrize("k, value", [(5, np.nan), (0, np.inf), (7, complex(0, -np.inf))])
+def test_non_finite_states_are_refused_by_name(kp, k, value):
+    # the 2x2 block of the Haar density holds coordinates 4-7; 0 is the first 1x1 block
+    density = kp.unit.coords().copy()
+    density[k] = value
+    with pytest.raises(DomainError, match=f"density coordinate {k} is not finite"):
+        WalkState.from_density(kp, kp.structure.from_coords(density))
+    coeffs = kp.haar.coeffs.copy()
+    coeffs[k] = value
+    with pytest.raises(DomainError, match=f"functional coefficient {k} is not finite"):
+        WalkState.from_functional_coeffs(kp, coeffs)
+    stack = np.stack([kp.unit.coords(), density])
+    with pytest.raises(DomainError, match=f"density coordinate {k} of row 1 is not finite"):
+        check_states(kp, stack, np.stack([kp.haar.coeffs, coeffs]))
+
+
+def test_state_checks_and_supports_of_a_stack_match_row_by_row(f_s3, dual_s3, kp):
+    for entry in (f_s3, dual_s3, kp):
+        states = [random_state(entry, RNG) for _ in range(4)] + [haar_state(entry)]
+        densities = np.stack([nu.density.coords() for nu in states])
+        functionals = np.stack([nu.functional.coeffs for nu in states])
+        assert np.array_equal(functionals_from_densities(entry, densities), functionals)
+        supports = support_projections(entry, densities, functionals)
+        for nu, p in zip(states, supports):
+            assert np.array_equal(p, support_projection(nu).coords())
+        pairs = convolution_coeffs(entry, functionals, functionals[::-1])
+        for nu, mu, row in zip(states, states[::-1], pairs):
+            assert np.abs(row - convolve(nu, mu).functional.coeffs).max() <= 1e-12
+        with pytest.raises(DomainError, match="not positive"):
+            check_states(entry, -densities, -functionals)
 
 
 def test_convolution_identity_and_invariance(f_s3, dual_s3, kp):
