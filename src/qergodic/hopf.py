@@ -9,7 +9,6 @@ convolution product on the algebra live here as well.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -24,23 +23,16 @@ from .blocks import (
 )
 from .groups import FiniteGroup, GroupValidationError, subgroups
 from .tolerances import (
+    CENSUS_NULL_RTOL,
     COMMUTATIVITY_TOL,
     EXACT_DEFECT_TOL,
     HAAR_NULL_RTOL,
     HAAR_WEIGHT_FLOOR,
     IMPLIED_IDENTITY_TOL,
-    LM_TOL,
-    PROJECTION_DEDUP_TOL,
     PROJECTION_EQ_TOL,
-    REFINE_TOL,
     STRUCTURE_TOL,
 )
 
-# group-like census: Bloch grid points per angle axis, by the number of rank-1
-# 2x2 blocks in a choice; starts need a grid defect below _START_TOL
-_GRID = {1: 64, 2: 12}
-_START_TOL = 0.25
-_SCAN_BATCH = 4096
 # coordinates of a rank-1 2x2 projection 0.5 (1 + n . sigma): the constant term,
 # then the coefficients of n_x, n_y and n_z
 _BLOCH_BASIS = 0.5 * np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, -1j, 1j, 0], [1, 0, 0, -1]])
@@ -311,15 +303,16 @@ class FiniteQuantumGroup:
         return (lhs - rhs).reshape(len(coords), D * D)
 
     def _defect_terms(self, base, offsets):
-        """The defect of the Bloch candidates as a quadratic form in their monomials.
+        """The defect of the Bloch candidates as a quadratic form in their moment vectors.
 
-        A candidate is A m, affine in m = (1, n_1, ..., n_k) for the Bloch
-        vectors n_j of the 2x2 blocks at ``offsets``, and the defect F(c) =
-        Delta(c)(1 (x) c) - c (x) c is quadratic in c, so F(A m) is
-        sum_{u <= v} m_u m_v T_uv with T_uu = F(A_u) and, by polarization,
-        T_uv = F(A_u + A_v) - F(A_u) - F(A_v).  Returns the T_uv, in the
-        column order of :func:`_bloch_monomials`, as a real (K(K+1)/2, 2 D^2)
-        array of real and imaginary parts (K = 1 + 3k).
+        A candidate is m @ cols, affine in m = (1, n_1, ..., n_k) for the
+        Bloch vectors n_j of the 2x2 blocks at ``offsets``, and the defect
+        F(c) = Delta(c)(1 (x) c) - c (x) c is quadratic in c, so F(m @ cols)
+        is sum_{u <= v} m_u m_v T_uv with T_uu = F(cols_u) and, by
+        polarization, T_uv = F(cols_u + cols_v) - F(cols_u) - F(cols_v).
+        Returns ``cols``, a complex (K, D) array (K = 1 + 3k), and the T_uv in
+        the order of ``np.triu_indices(K)`` as a real (K(K+1)/2, 2 D^2) array
+        of real and imaginary parts.
         """
         D = self.dim
         cols = np.zeros((1 + 3 * len(offsets), D), dtype=complex)
@@ -334,7 +327,7 @@ class FiniteQuantumGroup:
         single = defects[:len(cols)]
         terms = single[iu]
         terms[pair] = defects[len(cols):] - single[iu[pair]] - single[iv[pair]]
-        return np.concatenate([terms.real, terms.imag], axis=1)
+        return cols, np.concatenate([terms.real, terms.imag], axis=1)
 
     def is_group_like_projection(self, p):
         """Test Delta(p)(1 (x) p) = p (x) p for a projection p."""
@@ -354,41 +347,27 @@ class FiniteQuantumGroup:
 
         On the 1x1 blocks a group-like projection is the indicator of a
         subgroup of :meth:`character_group` (order <= 64); tries each of them
-        with rank 0/1/2 choices on 2x2 blocks.  The Bloch angles of the rank-1
-        blocks of a choice are scanned on a grid, whose defects are one real
-        product of the grid's Bloch monomials with the polarized terms of
-        :meth:`_defect_terms`; every grid point that :func:`_grid_minima`
-        keeps (a pole row counts once) starts a least-squares refinement of
-        the defining residual.  The grid for two rank-1 blocks is coarse, so a
-        projection whose angles fall between its points can be missed.
+        with rank 0/1/2 choices on the 2x2 blocks.  A choice with rank-1
+        blocks is a linear problem: the defect is a quadratic form in the
+        moment vector m = (1, n_1, ..., n_k) of their Bloch vectors
+        (:meth:`_defect_terms`), so the monomials m_u m_v of every solution
+        lie in the left null space of its terms, and :func:`_moment_vectors`
+        recovers the solutions from that space.  A candidate that is not a
+        group-like projection makes the census refuse, never miss.
         """
         dims = self.structure.dims
         if any(n > 2 for n in dims):
             raise UnsupportedError(
                 "group-like search supports block dimensions <= 2 only"
             )
-        if dims.count(2) > len(_GRID):
-            raise UnsupportedError(
-                f"group-like search supports at most {len(_GRID)} blocks of dimension 2"
-            )
+        if dims.count(2) > 2:
+            raise UnsupportedError("group-like search supports at most 2 blocks of dimension 2")
         try:
             candidates = subgroups(self.character_group())
         except GroupValidationError as exc:
             raise UnsupportedError(f"group-like search over the character group: {exc}") from exc
 
         found = []
-
-        def record(coords):
-            p = self.structure.from_coords(coords)
-            for q in found:
-                if (p - q).norm_inf() < PROJECTION_DEDUP_TOL:
-                    return
-            found.append(p)
-
-        def residual(angles, base, offsets):
-            defect = self._group_like_defect_batch(_bloch_assemble(base, offsets, angles))[0]
-            return np.concatenate([defect.real, defect.imag])
-
         char_coords = self._character_coords()
         twos = [off for off, n in zip(self.structure.offsets, dims) if n == 2]
         for H, *choice in itertools.product(candidates, *[(0, "s", 2)] * len(twos)):
@@ -402,26 +381,18 @@ class FiniteQuantumGroup:
                     base[off:off + 4:3] = 1.0  # the unit of the block
             if not spheres:
                 if np.linalg.norm(self._group_like_defect_batch(base)[0]) <= EXACT_DEFECT_TOL:
-                    record(base)
+                    found.append(base)
                 continue
-            from scipy import optimize  # only rank-1 2x2 choices need it
+            cols, terms = self._defect_terms(base, spheres)
+            u, s, _ = np.linalg.svd(terms)
+            null = u[:, np.count_nonzero(s > CENSUS_NULL_RTOL * s[0]):]
+            if null.size:
+                found.extend(_moment_vectors(null, len(cols)) @ cols)
 
-            offsets = np.array(spheres)
-            grid, batches = _scan_grid(len(spheres))
-            terms = self._defect_terms(base, offsets)
-            defects = (m @ terms for m in batches)  # real and imaginary parts of the defects
-            vals = np.concatenate([np.sqrt(np.vecdot(d, d)) for d in defects])
-            for start in grid[_grid_minima(vals.reshape(grid.shape[:-1]))]:
-                sol = optimize.least_squares(
-                    residual, start, args=(base, offsets),
-                    xtol=LM_TOL, ftol=LM_TOL, gtol=LM_TOL, method="lm",
-                )
-                if np.linalg.norm(sol.fun) <= REFINE_TOL:
-                    record(_bloch_assemble(base, offsets, sol.x)[0])
-
+        found = [self.structure.from_coords(coords) for coords in found]
         for p in found:
-            if not self.is_group_like_projection(p):
-                raise StructuralError("search produced a non-group-like projection")
+            if not (is_projection(p, PROJECTION_EQ_TOL) and self.is_group_like_projection(p)):
+                raise UnsupportedError("census candidate is not a group-like projection")
             if self.haar(p).real <= 0:
                 raise StructuralError("group-like projection with nonpositive Haar mass")
         found.sort(key=lambda p: tuple(np.round(p.coords().real, 6))
@@ -442,82 +413,35 @@ class FiniteQuantumGroup:
         return f"FiniteQuantumGroup({self.label!r}, dims={self.structure.dims})"
 
 
-def _bloch_vectors(angles):
-    """Components nx, ny, nz, each (N, k), of the Bloch vectors of the (theta, phi) pairs."""
-    th, ph = angles[:, 0::2], angles[:, 1::2]
-    return np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)
 
+def _moment_vectors(null, K):
+    """The r moment vectors whose monomials span ``null``, each scaled to m_0 = 1.
 
-def _bloch_assemble(base, offsets, angles):
-    """Candidate coordinates for each row (theta_1, phi_1, ..., theta_k, phi_k) of ``angles``.
-
-    Copies ``base`` and writes into the 2x2 block at coordinate offset
-    offsets[j] the rank-1 projection 0.5 [[1 + nz, nx - i ny], [nx + i ny, 1 - nz]]
-    onto the Bloch vector n = (sin theta cos phi, sin theta sin phi, cos theta)
-    of the j-th angle pair; returns an (N, D) array.
+    ``null`` is a real (K(K+1)/2, r) basis whose columns, in the order of
+    ``np.triu_indices(K)``, should span the monomials (m_u m_v)_{u <= v} of r
+    independent moment vectors, the columns of a K x r matrix M.  Folding a
+    column into a symmetric K x K matrix gives X = M diag(a) M^T, so two
+    fixed-seed random combinations A and B of the folded columns have
+    A B^+ = M diag(a / b) M^+, whose eigenvectors are the moment vectors
+    (Jennrich's simultaneous diagonalization).  A and B are taken on the
+    range of the X, which M spans, where B is invertible.  Returns an (r, K)
+    array.  Raises UnsupportedError when r > K, when the X do not span
+    exactly r directions, or when a recovered vector has m_0 close to 0.
     """
-    angles = np.atleast_2d(angles)
-    nx, ny, nz = _bloch_vectors(angles)
-    coords = np.tile(base, (len(angles), 1))
-    coords[:, offsets[:, None] + np.arange(4)] = 0.5 * np.stack(
-        [1 + nz, nx - 1j * ny, nx + 1j * ny, 1 - nz], axis=-1
-    )
-    return coords
-
-
-@functools.cache
-def _scan_grid(k):
-    """The Bloch grid for k rank-1 blocks, (g,) * 2k + (2k,), and its monomials.
-
-    The monomials of the grid points come in batches of at most _SCAN_BATCH
-    rows, which bounds the defect arrays of the two-block grid.  Computed once
-    per k; the arrays are read-only.
-    """
-    g = _GRID[k]
-    axes = [np.linspace(0.0, np.pi, g), np.linspace(0.0, 2 * np.pi, g, endpoint=False)]
-    grid = np.stack(np.meshgrid(*axes * k, indexing="ij"), axis=-1)
-    points = grid.reshape(-1, 2 * k)
-    batches = tuple(_bloch_monomials(part)
-                    for part in np.array_split(points, -(-len(points) // _SCAN_BATCH)))
-    for arr in (grid, *batches):
-        arr.flags.writeable = False
-    return grid, batches
-
-
-def _bloch_monomials(angles):
-    """The products m_u m_v, u <= v, of m = (1, n_1, ..., n_k) for each row of ``angles``.
-
-    n_j is the Bloch vector of the j-th (theta, phi) pair, as in
-    :func:`_bloch_assemble`; returns an (N, K(K+1)/2) array, K = 1 + 3k.
-    """
-    angles = np.atleast_2d(angles)
-    n = np.stack(_bloch_vectors(angles), axis=-1).reshape(len(angles), -1)
-    m = np.concatenate([np.ones((len(angles), 1)), n], axis=1)
-    iu, iv = np.triu_indices(m.shape[1])
-    return m[:, iu] * m[:, iv]
-
-
-def _grid_minima(vals):
-    """Mask of the grid points that start a refinement of the group-like residual.
-
-    ``vals`` has one axis per Bloch angle, alternating theta and phi.  A point
-    is kept when its value is below _START_TOL and no larger than either
-    neighbour along every axis; theta axes end at the poles, phi axes wrap.
-    A pole row names one projection whatever phi is, so it counts as one
-    point: it is compared along the other axes only, and only its phi = 0
-    entry is kept.
-    """
-    keep = vals < _START_TOL
-    for axis in range(vals.ndim):
-        for shift in (1, -1):
-            neighbour = np.roll(vals, shift, axis)
-            if axis % 2 == 0:
-                # the value rolled in came from the other pole: no neighbour there
-                np.moveaxis(neighbour, axis, 0)[0 if shift == 1 else -1] = np.inf
-            else:
-                # phi does not move a pole
-                np.moveaxis(neighbour, axis - 1, 0)[[0, -1]] = np.inf
-            keep &= vals <= neighbour
-    for axis in range(0, vals.ndim, 2):
-        np.moveaxis(keep, (axis, axis + 1), (0, 1))[[0, -1], 1:] = False
-    return keep
+    r = null.shape[1]
+    if r > K:
+        raise UnsupportedError(f"census null space of dimension {r} exceeds {K}, its moment count")
+    iu, iv = np.triu_indices(K)
+    X = np.zeros((r, K, K))
+    X[:, iu, iv] = X[:, iv, iu] = null.T
+    U, s, _ = np.linalg.svd(X.transpose(1, 0, 2).reshape(K, r * K))
+    if np.count_nonzero(s > CENSUS_NULL_RTOL * s[0]) != r:
+        raise UnsupportedError(f"census null space of dimension {r} is not spanned by "
+                               f"{r} independent moment vectors")
+    U = U[:, :r]
+    A, B = U.T @ np.tensordot(np.random.default_rng(0).standard_normal((2, r)), X, 1) @ U
+    _, W = np.linalg.eig(np.linalg.solve(B, A).T)  # A B^-1, as A and B are symmetric
+    M = U @ W  # columns of norm 1
+    if np.any(np.abs(M[0]) <= CENSUS_NULL_RTOL):
+        raise UnsupportedError("census moment vector with m_0 close to 0")
+    return (M / M[0]).T

@@ -47,12 +47,10 @@ PROJECTION_EQ_TOL = 1e-8
 IMPLIED_IDENTITY_TOL = 1e-7
 # group-like defect of a census choice with no rank-1 block, whose entries are 0 or 1: chosen
 EXACT_DEFECT_TOL = 1e-10
-# two projections found this close are one: chosen, far above refinement error
+# two fixed-point projections found this close are one: chosen, far above eigenvector error
 PROJECTION_DEDUP_TOL = 1e-6
-# solver setting: a refined census candidate counts when its least-squares residual is below this
-REFINE_TOL = 1e-12
-# solver setting: xtol, ftol and gtol of the Levenberg-Marquardt census refinement
-LM_TOL = 1e-15
+# census singular values at most this times the largest are null: chosen; measured 7e-16 vs 0.26
+CENSUS_NULL_RTOL = 1e-9
 
 # -- walks and the Cesaro limit ----------------------------------------------------
 

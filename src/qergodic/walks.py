@@ -116,13 +116,12 @@ class WalkState:
     def __init__(self, group, density=None, functional=None, check=True, label=""):
         if density is None and functional is None:
             raise ValueError("provide a density or a functional")
-        if check:  # ahead of the conversion, which would spread a NaN or inf
-            if density is None:
-                _require_finite(functional.coeffs, "functional coefficient")
-            else:
-                _require_finite(density.coords(), "density coordinate")
+        # NaN and inf are refused, formal states too, ahead of the conversion that would spread them
         if density is None:
+            _require_finite(functional.coeffs, "functional coefficient")
             density = density_from_functional(group, functional.coeffs)
+        else:
+            _require_finite(density.coords(), "density coordinate")
         if functional is None:
             functional = LinearFunctional(
                 group.structure, functionals_from_densities(group, density.coords())

@@ -29,13 +29,10 @@ from qergodic.groups import (
     symmetric_group,
 )
 from qergodic.hopf import (
-    _START_TOL,
     FiniteQuantumGroup,
     StructuralError,
     UnsupportedError,
-    _bloch_assemble,
-    _bloch_monomials,
-    _grid_minima,
+    _moment_vectors,
 )
 
 RNG = np.random.default_rng(777)
@@ -174,22 +171,37 @@ def quaternion_group():
     return group_from_cayley(table, label="Q8")
 
 
-def dihedral5_dual():
-    """C[D5] from trivial, sign and the rotation/reflection representations rho1, rho2.
+def dihedral5_dual(diagonal=False, unitaries=(None, None)):
+    """C[D5] from trivial, sign and the two-dimensional representations rho1, rho2.
 
     Blocks (1, 1, 2, 2): the census has to place two rank-1 2x2 blocks at once.
+    rho_k is written with rotations and reflections, or with diagonal complex
+    rotations rho_k(r_j) = diag(w^jk, w^-jk) and rho_k(s_0) the swap when
+    ``diagonal``; a unitary V in ``unitaries`` conjugates rho_k to V rho_k V*.
     """
     d5 = dihedral_group(5)
     sign = np.repeat([1.0, -1.0], 5).reshape(10, 1, 1)
     irreps = [Irrep("trivial", 1, np.ones((10, 1, 1), dtype=complex)),
               Irrep("sign", 1, sign + 0j)]
-    for k in (1, 2):
+    for k, V in zip((1, 2), unitaries):
         a = 2 * np.pi * k * np.arange(5) / 5
-        rot = np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]]).transpose(2, 0, 1)
-        # dihedral_group has s_i = r_i s_0, and s_0 is the reflection diag(1, -1)
-        mats = np.concatenate([rot, rot @ np.diag([1.0, -1.0])])
-        irreps.append(Irrep(f"rho{k}", 2, mats + 0j))
+        if diagonal:
+            rot = np.array([np.diag([w, w.conj()]) for w in np.exp(1j * a)])
+            s0 = np.array([[0.0, 1.0], [1.0, 0.0]])
+        else:
+            rot = np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]]).transpose(2, 0, 1)
+            s0 = np.diag([1.0, -1.0])
+        # dihedral_group has s_i = r_i s_0
+        mats = np.concatenate([rot, rot @ s0]) + 0j
+        if V is not None:
+            mats = V @ mats @ V.conj().T
+        irreps.append(Irrep(f"rho{k}", 2, mats))
     return group_algebra(d5, IrrepTable(d5, irreps))
+
+
+def random_unitary(rng):
+    q, r = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def test_classical_census_is_subgroup_indicators(s3):
@@ -289,7 +301,7 @@ def test_character_group_rejects_broken_comultiplication(f_c4):
 
 
 def test_group_like_search_rejects_large_blocks():
-    # a 3x3 block; three 2x2 blocks (refused before any grid is built)
+    # a 3x3 block; three 2x2 blocks (refused before any census work)
     for dims in ([1, 3], [1, 1, 2, 2, 2]):
         big = FiniteQuantumGroup.__new__(FiniteQuantumGroup)  # only structure is consulted
         big.structure = BlockStructure(dims)
@@ -297,77 +309,74 @@ def test_group_like_search_rejects_large_blocks():
             FiniteQuantumGroup.find_group_like_projections(big)
 
 
-def test_bloch_assembly_matches_per_point_formula():
-    structure = BlockStructure([1, 2, 2])
-    base = random_element(structure, RNG).coords()
-    offsets = np.array([1, 5])
-    angles = RNG.uniform(0.0, 2 * np.pi, size=(50, 4))
-    coords = _bloch_assemble(base, offsets, angles)
-    for row, (t1, p1, t2, p2) in zip(coords, angles):
-        expected = base.copy()
-        for off, th, ph in ((1, t1, p1), (5, t2, p2)):
-            nx, ny, nz = np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)
-            expected[off:off + 4] = 0.5 * np.array([1 + nz, nx - 1j * ny, nx + 1j * ny, 1 - nz])
-        assert np.abs(row - expected).max() <= 1e-15
-
-
 def test_polarized_scan_matches_direct_defects(kp):
     # one rank-1 block (Kac-Paljutkin) and two (C[D5]), around a random base
     for qg in (kp, dihedral5_dual()):
         st = qg.structure
-        offsets = np.array([off for off, n in zip(st.offsets, st.dims) if n == 2])
+        offsets = [off for off, n in zip(st.offsets, st.dims) if n == 2]
         base = 0.5 * (RNG.uniform(-1, 1, st.dim) + 1j * RNG.uniform(-1, 1, st.dim))
-        angles = RNG.uniform(0.0, 2 * np.pi, size=(300, 2 * len(offsets)))
-        direct = qg._group_like_defect_batch(_bloch_assemble(base, offsets, angles))
-        scan = _bloch_monomials(angles) @ qg._defect_terms(base, offsets)
+        n = RNG.standard_normal((300, len(offsets), 3))
+        n /= np.linalg.norm(n, axis=-1, keepdims=True)
+        coords = np.tile(base, (len(n), 1))
+        for j, off in enumerate(offsets):
+            nx, ny, nz = n[:, j].T
+            coords[:, off:off + 4] = 0.5 * np.stack([1 + nz, nx - 1j * ny, nx + 1j * ny, 1 - nz], axis=1)
+        direct = qg._group_like_defect_batch(coords)
+        cols, terms = qg._defect_terms(base, offsets)
+        m = np.concatenate([np.ones((len(n), 1)), n.reshape(len(n), -1)], axis=1)
+        assert np.abs(m @ cols - coords).max() <= 1e-15
+        iu, iv = np.triu_indices(m.shape[1])
+        scan = (m[:, iu] * m[:, iv]) @ terms
         polarized = scan[:, :st.dim ** 2] + 1j * scan[:, st.dim ** 2:]
         assert np.abs(polarized - direct).max() <= 1e-12
         assert np.abs(np.sqrt(np.vecdot(scan, scan)) - np.linalg.norm(direct, axis=1)).max() <= 1e-12
 
 
-def neighbour_minima(vals):
-    """Grid points below _START_TOL and no larger than each neighbour, one point at a time.
-
-    Theta axes (even) stop at their ends, phi axes (odd) wrap around.
-    """
-    keep = np.zeros(vals.shape, dtype=bool)
-    for point in itertools.product(*map(range, vals.shape)):
-        ok = vals[point] < _START_TOL
-        for axis, size in enumerate(vals.shape):
-            for step in (1, -1):
-                other = list(point)
-                other[axis] += step
-                if axis % 2 == 0 and not 0 <= other[axis] < size:
-                    continue
-                other[axis] %= size
-                ok = ok and vals[point] <= vals[tuple(other)]
-        keep[point] = ok
-    return keep
+def monomial_basis(moments, rng):
+    """An orthonormal basis, mixed at random, of the span of the monomials m_u m_v, u <= v."""
+    iu, iv = np.triu_indices(moments.shape[1])
+    q, _ = np.linalg.qr((moments[:, iu] * moments[:, iv]).T @ rng.standard_normal((len(moments),) * 2))
+    return q
 
 
-@pytest.mark.parametrize("jitter", [0.0, 1e-16])
-def test_grid_minima_start_once_per_pole(jitter):
-    rng = np.random.default_rng(5)
-    # one sphere: both pole rows flat (or jittered) below _START_TOL, three interior minima
-    vals = rng.uniform(0.3, 0.5, size=(12, 12))
-    vals[[0, -1]] = 0.2 + jitter * rng.standard_normal((2, 12))
-    planted = [(1, 4), (5, 0), (10, 11)]
-    for point in planted:
-        vals[point] = 0.1
-    keep = _grid_minima(vals)
-    assert sorted(zip(*np.nonzero(keep))) == sorted([(0, 0), (11, 0)] + planted)
-    assert np.array_equal(keep[1:-1], neighbour_minima(vals)[1:-1])
+def test_moment_vectors_recover_the_monomial_span():
+    rng = np.random.default_rng(3)
+    for K, r in ((4, 1), (4, 3), (4, 4), (7, 2), (7, 7)):
+        moments = np.concatenate([np.ones((r, 1)), rng.uniform(-1, 1, (r, K - 1))], axis=1)
+        moments *= rng.uniform(0.5, 2.0, (r, 1))
+        got = _moment_vectors(monomial_basis(moments, rng), K)
+        want = moments / moments[:, :1]
+        assert got.shape == want.shape
+        # the same vectors up to order
+        assert np.abs(got[np.argsort(got[:, 1])] - want[np.argsort(want[:, 1])]).max() <= 1e-10
 
-    # two spheres: both at their north poles is one point; sphere 1 at its south pole is one
-    # point for each (theta_2, phi_2), and only the planted one is a minimum there
-    vals = rng.uniform(0.3, 0.5, size=(6,) * 4)
-    vals[0, :, 0, :] = 0.1 + jitter * rng.standard_normal((6, 6))
-    vals[-1, :, 3, 2] = 0.15 + jitter * rng.standard_normal(6)
-    vals[2, 3, 4, 1] = 0.05
-    keep = _grid_minima(vals)
-    assert sorted(zip(*np.nonzero(keep))) == [(0, 0, 0, 0), (2, 3, 4, 1), (5, 0, 3, 2)]
-    inner = (slice(1, -1), slice(None)) * 2
-    assert np.array_equal(keep[inner], neighbour_minima(vals)[inner])
+
+def test_moment_vectors_refuse_what_they_cannot_separate():
+    rng = np.random.default_rng(4)
+    moments = rng.uniform(-1, 1, (5, 4))
+    with pytest.raises(UnsupportedError, match="exceeds"):
+        _moment_vectors(monomial_basis(moments, rng), 4)
+    dependent = moments[:3].copy()
+    dependent[2] = dependent[0] + dependent[1]
+    with pytest.raises(UnsupportedError, match="independent"):
+        _moment_vectors(monomial_basis(dependent, rng), 4)
+    at_infinity = moments[:2].copy()
+    at_infinity[1, 0] = 0.0
+    with pytest.raises(UnsupportedError, match="m_0"):
+        _moment_vectors(monomial_basis(at_infinity, rng), 4)
+
+
+def test_two_block_census_does_not_depend_on_the_basis():
+    # the 8 chi_H of C[D5] in six bases of its two 2x2 blocks
+    rng = np.random.default_rng(1)
+    bases = [dihedral5_dual(), dihedral5_dual(diagonal=True)]
+    bases += [dihedral5_dual(unitaries=(random_unitary(rng), random_unitary(rng))) for _ in range(4)]
+    for dual in bases:
+        found = dual.find_group_like_projections()
+        chis = [chi_subgroup(dual, H) for H in subgroups(dual.realization.group)]
+        assert len(found) == len(chis) == 8
+        for q in chis:
+            assert min((p - q).norm_inf() for p in found) < 1e-8
 
 
 def test_census_matches_the_recorded_reference(kp, dual_s3):
@@ -382,17 +391,19 @@ def test_census_matches_the_recorded_reference(kp, dual_s3):
         assert np.abs(found - expected).max() <= 1e-12
 
 
-def test_census_without_2x2_blocks_leaves_scipy_optimize_unloaded():
+def test_census_leaves_scipy_unloaded():
+    tests = os.path.dirname(__file__)
     src = os.path.dirname(os.path.dirname(qergodic.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = ("import sys; from qergodic.catalog import function_algebra; "
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys; from qergodic.catalog import function_algebra, kac_paljutkin; "
             "from qergodic.groups import cyclic_group, symmetric_group; "
-            "found = function_algebra(symmetric_group(3)).find_group_like_projections(); "
-            "wide = function_algebra(cyclic_group(64)).find_group_like_projections(); "
-            "print(len(found), len(wide), 'scipy.optimize' in sys.modules)")
+            "from test_hopf import dihedral5_dual; "
+            "print(*(len(qg.find_group_like_projections()) for qg in (function_algebra("
+            "symmetric_group(3)), function_algebra(cyclic_group(64)), kac_paljutkin(), "
+            "dihedral5_dual(diagonal=True))), any(m.split('.')[0] == 'scipy' for m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.split() == ["6", "7", "False"]
+    assert out.stdout.split() == ["6", "7", "8", "8", "False"]
 
 
 def test_group_like_consequences(dual_s3, s3):

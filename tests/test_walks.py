@@ -77,12 +77,13 @@ def test_non_finite_states_are_refused_by_name(kp, k, value):
     # the 2x2 block of the Haar density holds coordinates 4-7; 0 is the first 1x1 block
     density = kp.unit.coords().copy()
     density[k] = value
-    with pytest.raises(DomainError, match=f"density coordinate {k} is not finite"):
-        WalkState.from_density(kp, kp.structure.from_coords(density))
     coeffs = kp.haar.coeffs.copy()
     coeffs[k] = value
-    with pytest.raises(DomainError, match=f"functional coefficient {k} is not finite"):
-        WalkState.from_functional_coeffs(kp, coeffs)
+    for check in (True, False):  # a formal state skips positivity, not finiteness
+        with pytest.raises(DomainError, match=f"density coordinate {k} is not finite"):
+            WalkState.from_density(kp, kp.structure.from_coords(density), check=check)
+        with pytest.raises(DomainError, match=f"functional coefficient {k} is not finite"):
+            WalkState.from_functional_coeffs(kp, coeffs, check=check)
     stack = np.stack([kp.unit.coords(), density])
     with pytest.raises(DomainError, match=f"density coordinate {k} of row 1 is not finite"):
         check_states(kp, stack, np.stack([kp.haar.coeffs, coeffs]))
