@@ -515,7 +515,7 @@ def is_projection(a, tol=POSITIVITY_TOL):
     return a._hermitian_defect() <= tol and (a - a * a).norm_inf() <= tol
 
 
-def spectral_decomposition(a, herm_tol=POSITIVITY_TOL):
+def spectral_decomposition(a):
     """Eigenvalues and spectral projections of a Hermitian element.
 
     Returns ``[(lam, P)]`` with eigenvalues ascending, eigenvalues closer than
@@ -523,7 +523,7 @@ def spectral_decomposition(a, herm_tol=POSITIVITY_TOL):
     :func:`spectral_clusters`).  The projections are pairwise orthogonal and
     sum to the unit.
     """
-    if not a.is_hermitian(herm_tol):
+    if not a.is_hermitian():
         raise DomainError("spectral decomposition requires a Hermitian element")
     st = a.structure
     eigs = a._eighs()
@@ -595,18 +595,15 @@ def p_norm(a, haar, p):
     return l1 if p == 1 else l2 if p == 2 else linf
 
 
-def random_element(structure, rng, scale=1.0):
-    blocks = [
-        scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        for n in structure.dims
-    ]
-    return structure.element(blocks)
+def random_element(structure, rng):
+    return structure.element([rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                              for n in structure.dims])
 
 
-def random_hermitian(structure, rng, scale=1.0):
-    return hermitian_part(random_element(structure, rng, scale))
+def random_hermitian(structure, rng):
+    return hermitian_part(random_element(structure, rng))
 
 
-def random_positive(structure, rng, scale=1.0):
-    a = random_element(structure, rng, scale)
+def random_positive(structure, rng):
+    a = random_element(structure, rng)
     return a.adjoint() * a

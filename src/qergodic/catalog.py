@@ -146,7 +146,11 @@ def classical_state(fg, spec):
     group = real.group
 
     def resolve(g):
-        return g if isinstance(g, int) else group.index_of(g)
+        if not isinstance(g, int):
+            return group.index_of(g)
+        if not 0 <= g < group.order:
+            raise ValueError(f"element index {g} is outside 0..{group.order - 1}")
+        return g
 
     kind, payload = spec
     weights = np.zeros(group.order)
@@ -159,7 +163,11 @@ def classical_state(fg, spec):
         weights[idx] = 1.0 / len(idx)
     elif kind == "weights":
         for g, w in payload.items():
-            weights[resolve(g)] = float(w)
+            try:
+                w = float(w)
+            except (TypeError, ValueError):
+                raise ValueError(f"weight of {g!r} is not a number: {w!r}") from None
+            weights[resolve(g)] = w
         _finite("weights", weights)
         if weights.min() < -WEIGHT_SIGN_TOL:
             raise ValueError("weights must be nonnegative")

@@ -169,6 +169,8 @@ def build_quantum_group(group_spec):
                     payload = json.load(fh)
             except (OSError, json.JSONDecodeError) as exc:
                 raise ConfigError(f"cannot load cayley_file: {exc}")
+            if isinstance(payload, dict) and "table" not in payload:
+                raise ConfigError('cayley_file: the JSON object has no "table" field')
             table = payload["table"] if isinstance(payload, dict) else payload
             try:
                 return catalog.function_algebra(build_group("cayley", table=table))
@@ -195,7 +197,11 @@ def _resolve_rep(dual, name):
     if name == "standard_integral" and group.label == "S3":
         return s3_standard_integral(group), False
     if name.startswith("character:") and group.label.startswith("C"):
-        k = int(name.split(":", 1)[1])
+        try:
+            k = int(name.split(":", 1)[1])
+        except ValueError:
+            raise ConfigError(f"positive_definite rep {name!r}: the character index "
+                              "is not an integer")
         omega = np.exp(2j * np.pi / group.order)
         return [np.array([[omega ** (k * g)]]) for g in range(group.order)], True
     for irr in real.irreps.irreps:
@@ -212,8 +218,6 @@ def build_state(qgroup, state_spec):
     if kind in ("point", "uniform", "weights"):
         if not isinstance(real, catalog.ClassicalRealization):
             raise UnsupportedCombination(f"{kind} states live on classical entries")
-        if kind == "weights":
-            payload = {k: float(v) for k, v in payload.items()}
         try:
             return catalog.classical_state(qgroup, (kind, payload))
         except (ValueError, KeyError) as exc:

@@ -15,7 +15,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import DomainError, hermitian_part, spectral_decomposition
+from .blocks import (
+    DomainError,
+    adjoints,
+    cluster_projections,
+    eighs,
+    hermitian_part,
+    norms_inf,
+    products,
+    spectral_clusters,
+    spectral_decomposition,
+)
 from .catalog import ClassicalRealization, DualRealization
 from .groups import GroupValidationError, subgroups
 from .hopf import UnsupportedError
@@ -30,7 +40,6 @@ from .tolerances import (
     IMPLIED_IDENTITY_TOL,
     KERNEL_TOL,
     PERIPHERAL_TOL,
-    PROJECTION_DEDUP_TOL,
     PROJECTION_EQ_TOL,
     REACH_MASS_FLOOR,
     TRIVIAL_CHAR_TOL,
@@ -109,55 +118,42 @@ def is_idempotent_state(phi):
 def _fixed_point_projections(group, T):
     """Nontrivial projections in the fixed-point space of T.
 
-    The fixed-point space is a *-subalgebra; its projections are found among
-    spectral projections of Hermitian fixed elements (each basis vector of the
-    space, Hermitianized, plus a few generic real combinations).
+    T is unital and completely positive and keeps the faithful Haar state, so
+    by the Schwarz inequality its fixed points form a unital *-subalgebra.  The
+    spectral projections of a Hermitian fixed point lie in it, and when the
+    space is more than the scalars a generic one (a fixed-seed complex
+    combination of a basis, Hermitianized) has at least two of them.
     """
-    kernel = _null_space(T.matrix - np.eye(group.dim)).T
-    if kernel.shape[0] <= 1:
+    kernel = _null_space(T.matrix - np.eye(group.dim))
+    if kernel.shape[1] <= 1:
         return []
-    hermitians = []
-    for row in kernel:
-        e = group.structure.from_coords(row)
-        for h in (hermitian_part(e), hermitian_part(e * (-1j))):
-            if h.norm_inf() > ZERO_ELEMENT_TOL:
-                hermitians.append(h)
     rng = np.random.default_rng(7)
-    for _ in range(3):
-        mix = group.structure.zero()
-        for h in hermitians[: 2 * (kernel.shape[0])]:
-            mix = mix + float(rng.standard_normal()) * h
-        hermitians.append(mix)
-    unit = group.unit
-    found = []
-    for h in hermitians:
-        for _, p in spectral_decomposition(h):
-            if p.norm_inf() < 0.5 or (p - unit).norm_inf() < PROJECTION_EQ_TOL:
-                continue
-            if (T.apply(p) - p).norm_inf() <= KERNEL_TOL:
-                if all((p - q).norm_inf() > PROJECTION_DEDUP_TOL for q in found):
-                    found.append(p)
-    if not found:
+    mix = rng.standard_normal(kernel.shape[1]) + 1j * rng.standard_normal(kernel.shape[1])
+    h = hermitian_part(group.structure.from_coords(kernel @ mix))
+    found = [p for _, p in spectral_decomposition(h)]
+    if len(found) < 2 or any((T.apply(p) - p).norm_inf() > KERNEL_TOL for p in found):
         raise ClassificationError(
-            "fixed-point space has dimension > 1 but no nontrivial projection was found"
+            "fixed-point space has dimension > 1 but a generic fixed point gives no "
+            "nontrivial T-fixed projections"
         )
     return found
 
 
 def _reachability_projections(group):
-    """Spectral projections of the Hermitianized coordinate basis."""
-    out = []
-    seen = []
-    for b in group.structure.basis():
-        for h in (hermitian_part(b), hermitian_part(b * (-1j))):
-            if h.norm_inf() < ZERO_ELEMENT_TOL:
-                continue
-            for _, p in spectral_decomposition(h):
-                key = np.round(p.coords(), 9).tobytes()
-                if key not in seen:
-                    seen.append(key)
-                    out.append(p)
-    return out
+    """Spectral projections of the nonzero Hermitian parts of e_k and -i e_k, (M, D).
+
+    Each is kept at its first occurrence; rows equal to 9 decimals are one.
+    """
+    st = group.structure
+    basis = np.repeat(np.eye(st.dim, dtype=complex), 2, axis=0)
+    basis[1::2] *= -1j
+    herm = (basis + adjoints(st, basis)) * 0.5
+    herm = herm[norms_inf(st, herm) >= ZERO_ELEMENT_TOL]
+    eigs = eighs(st, herm)
+    cluster, means = spectral_clusters(eigs)
+    proj = cluster_projections(st, eigs, cluster, means.shape[-1])[means > -np.inf]
+    _, first = np.unique(np.round(proj, 9), axis=0, return_index=True)
+    return proj[np.sort(first)]
 
 
 def is_irreducible(nu):
@@ -177,17 +173,11 @@ def is_irreducible(nu):
     route_b = len(fixed) == 0
 
     k0 = sum(group.structure.dims)
-    coeffs = nu.functional.coeffs
-    masses = []
-    for _ in range(k0):
-        masses.append(coeffs)
-        coeffs = T.matrix.T @ coeffs
-    route_c = True
-    for q in _reachability_projections(group):
-        qc = q.coords()
-        if not any(float((m @ qc).real) > REACH_MASS_FLOOR for m in masses):
-            route_c = False
-            break
+    masses = [nu.functional.coeffs]
+    for _ in range(k0 - 1):
+        masses.append(T.matrix.T @ masses[-1])
+    reach = np.vecdot(np.conj(masses)[:, None], _reachability_projections(group)).real
+    route_c = bool((reach > REACH_MASS_FLOOR).any(0).all())
 
     if not (route_a == route_b == route_c):
         raise ClassificationError(
@@ -364,12 +354,10 @@ def freslon_check(u):
     for H in sorted(candidates, key=lambda h: (-len(h), h)):
         if len(H) <= 1:
             continue
-        if any(abs(abs(values[h]) - 1.0) > CHARACTER_TOL for h in H):
-            continue
-        if all(
-            abs(values[group.mul(h1, h2)] - values[h1] * values[h2]) <= CHARACTER_TOL
-            for h1 in H for h2 in H
-        ):
+        h = np.array(H)
+        if (np.all(np.abs(np.abs(values[h]) - 1.0) <= CHARACTER_TOL)
+                and np.all(np.abs(values[group.cayley[h][:, h]] - np.outer(values[h], values[h]))
+                           <= CHARACTER_TOL)):
             witness = tuple(H)
             break
     return FreslonReport(ergodic=witness is None, witness=witness, u_values=values)
@@ -432,6 +420,8 @@ def quasi_subgroup_is_subgroup(group, p):
     """A quasi-subgroup is a subgroup iff its group-like projection is central."""
     if not group.is_group_like_projection(p):
         raise DomainError("centrality test expects a group-like projection")
-    return all(
-        (p * b - b * p).norm_inf() <= COMMUTATOR_TOL for b in group.structure.basis()
-    )
+    st = group.structure
+    basis = np.eye(st.dim, dtype=complex)
+    ps = np.broadcast_to(p.coords(), basis.shape)
+    return bool(np.all(norms_inf(st, products(st, ps, basis) - products(st, basis, ps))
+                       <= COMMUTATOR_TOL))

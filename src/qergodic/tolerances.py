@@ -47,8 +47,6 @@ PROJECTION_EQ_TOL = 1e-8
 IMPLIED_IDENTITY_TOL = 1e-7
 # group-like defect of a census choice with no rank-1 block, whose entries are 0 or 1: chosen
 EXACT_DEFECT_TOL = 1e-10
-# two fixed-point projections found this close are one: chosen, far above eigenvector error
-PROJECTION_DEDUP_TOL = 1e-6
 # census singular values at most this times the largest are null: chosen; measured 7e-16 vs 0.26
 CENSUS_NULL_RTOL = 1e-9
 
@@ -79,7 +77,7 @@ GAP_DECAY_TARGET = 1e-12
 ERGODIC_TV_TOL = 1e-6
 # a projection is reached when some nu^(*k) gives it more mass than this: chosen
 REACH_MASS_FLOOR = 1e-12
-# Hermitian parts of fixed points and basis elements below this norm are zero: chosen
+# Hermitian parts of basis elements below this norm are zero: chosen
 ZERO_ELEMENT_TOL = 1e-10
 # Zhang: every eigenvalue lies in the ball of radius 1 - nu(eta) about nu(eta), plus this
 ZHANG_BALL_TOL = 1e-9

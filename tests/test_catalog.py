@@ -195,6 +195,15 @@ def test_classical_weights_validation(f_s3):
         classical_state(f_s3, ("weights", {"e": 0.5, "(12)": 0.4}))
     with pytest.raises(ValueError):
         classical_state(f_s3, ("weights", {"e": 1.5, "(12)": -0.5}))
+    with pytest.raises(ValueError, match="weight of 'e' is not a number"):
+        classical_state(f_s3, ("weights", {"e": None}))
+
+
+@pytest.mark.parametrize("spec", [("point", 6), ("point", -1), ("uniform", [0, 6]),
+                                  ("weights", {-1: 1.0})])
+def test_classical_index_out_of_range(f_s3, spec):
+    with pytest.raises(ValueError, match=r"element index -?\d+ is outside 0\.\.5"):
+        classical_state(f_s3, spec)
 
 
 # -- Kac-Paljutkin ------------------------------------------------------------------

@@ -179,6 +179,43 @@ def test_non_finite_config_constants_exit_2(tmp_path, capsys, config, constant):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("state, message", [
+    # 99 and [0, 99] ended in an IndexError; -1 silently became the last element
+    ({"point": 99}, "invalid point state: element index 99 is outside 0..3"),
+    ({"point": -1}, "invalid point state: element index -1 is outside 0..3"),
+    ({"uniform": [0, 99]}, "invalid uniform state: element index 99 is outside 0..3"),
+    # float() of a weight ran outside the ConfigError mapping
+    ({"weights": {"e": "abc"}}, "invalid weights state: weight of 'e' is not a number: 'abc'"),
+    ({"weights": {"e": [1, 2]}}, "invalid weights state: weight of 'e' is not a number: [1, 2]"),
+], ids=["point_99", "point_-1", "uniform_99", "weight_text", "weight_list"])
+def test_bad_classical_state_exit_2(tmp_path, capsys, state, message):
+    code, out = run_cli(tmp_path, "verdict", dict(CFG_C4_POINT1, state=state))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rep", ["character:x", "character:", "character:1.5"])
+def test_bad_character_index_exit_2(tmp_path, capsys, rep):
+    cfg = {"schema": 1, "group": {"dual": {"family": "cyclic", "n": 4}},
+           "state": {"positive_definite": {"rep": rep, "xi": [1.0]}}}
+    code, out = run_cli(tmp_path, "verdict", cfg)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: positive_definite rep {rep!r}: the character index is not an integer\n")
+    assert not out.exists()
+
+
+def test_cayley_file_without_table_exit_2(tmp_path, capsys):
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"foo": 1}))
+    cfg = dict(CFG_C4_POINT1, group={"classical": {"cayley_file": str(table)}})
+    code, out = run_cli(tmp_path, "verdict", cfg)
+    assert code == 2
+    assert capsys.readouterr().err == 'error: cayley_file: the JSON object has no "table" field\n'
+    assert not out.exists()
+
+
 def test_kmax_one_writes_one_row(tmp_path):
     code, out = run_cli(tmp_path, "trace", CFG_432, "--kmax", "1")
     assert code == 0

@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from qergodic.blocks import DomainError
+from qergodic.blocks import DomainError, hermitian_part, is_projection, spectral_decomposition
 from qergodic.catalog import (
     bloch_vector,
     chi_subgroup,
@@ -15,6 +15,7 @@ from qergodic.catalog import (
     state_from_positive_definite,
 )
 from qergodic.ergodicity import (
+    _reachability_projections,
     baraquin_check,
     classify,
     cyclic_partition,
@@ -32,9 +33,11 @@ from qergodic.walks import (
     counit_state,
     haar_state,
     random_state,
+    stochastic_operator,
     support_projection,
     total_variation,
 )
+from qergodic.tolerances import KERNEL_TOL, ZERO_ELEMENT_TOL
 
 from classical_oracle import classify_weights
 
@@ -79,8 +82,43 @@ def test_three_routes_on_mixed_corpus(f_s3, dual_s3, kp, s3):
         kp_pure_state(kp, 1),
         kp_pure_state(kp, 4, bloch_vector(0.8, 1.1)),
     ]
-    for nu in states:
-        is_irreducible(nu)
+    rng = np.random.default_rng(13)
+    faithful = [random_state(entry, rng, ridge=0.2) for entry in (f_s3, dual_s3, kp)]
+    for i, nu in enumerate(states + faithful):
+        res = is_irreducible(nu)
+        T = stochastic_operator(nu)
+        unit = nu.group.unit
+        # every listed fixed projection is a T-fixed projection other than 0 and 1
+        for p in res.fixed_projections:
+            assert is_projection(p)
+            assert p.norm_inf() > 0.5 and (unit - p).norm_inf() > 0.5
+            assert (T.apply(p) - p).norm_inf() <= KERNEL_TOL
+        assert bool(res) == (len(res.fixed_projections) == 0)
+        if i >= len(states):
+            assert res.fixed_projections == []
+
+
+def _reachability_projections_by_element(group):
+    # the element-by-element transcription the stacked function replaced
+    out, seen = [], []
+    for b in group.structure.basis():
+        for h in (hermitian_part(b), hermitian_part(b * (-1j))):
+            if h.norm_inf() < ZERO_ELEMENT_TOL:
+                continue
+            for _, p in spectral_decomposition(h):
+                key = np.round(p.coords(), 9).tobytes()
+                if key not in seen:
+                    seen.append(key)
+                    out.append(p.coords())
+    return out
+
+
+def test_stacked_reachability_projections_match_element_by_element(f_s3, dual_s3, kp):
+    for entry in (f_s3, dual_s3, kp):
+        stacked = _reachability_projections(entry)
+        loop = _reachability_projections_by_element(entry)
+        assert len(stacked) == len(loop)
+        assert {row.tobytes() for row in stacked} == {row.tobytes() for row in loop}
 
 
 def test_cyclic_partition_dual_perm(perm_state, dual_s3, s3):
@@ -215,16 +253,27 @@ def test_slow_dual_walk_cesaro_routes_agree(dual_s3, s3):
     (8, {2: 0.5 - 1e-5, 6: 0.5, 1: 1e-5}),  # near-reducible
     (4, {0: 1e-10, 1: 1 - 1e-10}),  # near-periodic
     (4, {0: 1e-12, 1: 1 - 1e-12}),
+    (6, {1: 1 - 1e-10, 2: 1e-10}),
+    (8, {1: 1 - 1e-10, 2: 5e-11, 3: 5e-11}),
 ])
 def test_slow_walks_end_promptly(n, weights):
-    nu = classical_state(function_algebra(cyclic_group(n)), ("weights", weights))
+    # a slow walk may be refused, but a verdict must be the oracle's
+    group = cyclic_group(n)
+    nu = classical_state(function_algebra(group), ("weights", weights))
     start = time.perf_counter()
     with np.errstate(over="raise", invalid="raise"):
         try:
-            assert classify(nu).tag in ("ergodic", "reducible", "periodic")
+            verdict = classify(nu)
         except NumericError:
-            pass
+            verdict = None
     assert time.perf_counter() - start < 1.0
+    if verdict is not None:
+        vec = np.zeros(n)
+        vec[list(weights)] = list(weights.values())
+        oracle = classify_weights(group, vec, tol=0.0)
+        assert verdict.tag == oracle[0]
+        if oracle[0] == "periodic":
+            assert verdict.partition.period == oracle[1]
 
 
 def test_zhang_slow_walk_refuses_without_overflow(f_c4):
@@ -324,6 +373,26 @@ def test_quasi_subgroup_centrality(dual_s3, f_s3, s3):
     with pytest.raises(DomainError):
         quasi_subgroup_is_subgroup(f_s3, f_s3.structure.basis_element(1)
                                    + f_s3.structure.basis_element(2))
+
+
+def test_array_checks_match_element_by_element(dual_s3, kp, s3, perm_state, twodim_state):
+    # element-by-element transcriptions of freslon_check's subgroup scan and of
+    # quasi_subgroup_is_subgroup, which now run as array comparisons
+    trivial = state_from_positive_definite(dual_s3, [np.eye(1)] * 6, [1.0])
+    for u in (perm_state, twodim_state, trivial, dual_subgroup_state(dual_s3, [0, 1])):
+        values = dual_s3.realization.u_values(u)
+        witness = None
+        for H in sorted(subgroups(s3), key=lambda h: (-len(h), h)):
+            if len(H) > 1 and all(abs(abs(values[h]) - 1.0) <= 1e-9 for h in H) and all(
+                    abs(values[s3.mul(a, b)] - values[a] * values[b]) <= 1e-9
+                    for a in H for b in H):
+                witness = tuple(H)
+                break
+        assert freslon_check(u).witness == witness
+    for entry in (dual_s3, kp):
+        for p in entry.find_group_like_projections():
+            central = all((p * b - b * p).norm_inf() <= 1e-9 for b in entry.structure.basis())
+            assert quasi_subgroup_is_subgroup(entry, p) == central
 
 
 def test_s4_optional_oracle_agreement():

@@ -18,3 +18,17 @@ def test_thresholds_live_in_the_tolerance_table():
                 scattered.append(f"{path.name}:{tok.start[0]}: {tok.string}")
     assert SOURCES
     assert scattered == []
+
+
+def test_every_tolerance_has_a_reader():
+    # a gate whose last reader is gone is dead code that still looks like policy
+    from qergodic import tolerances
+
+    names = {name for name in vars(tolerances) if name.isupper()}
+    read = set()
+    for path in SOURCES:
+        for tok in tokenize.generate_tokens(io.StringIO(path.read_text()).readline):
+            if tok.type == tokenize.NAME and tok.string in names:
+                read.add(tok.string)
+    assert names
+    assert sorted(names - read) == []
