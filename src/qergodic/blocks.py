@@ -47,7 +47,7 @@ class BlockStructure:
     the ids of its m blocks and their (m, n, n) coordinate indices.
     """
 
-    __slots__ = ("dims", "offsets", "dim", "size_classes", "star_perm", "_mult_table")
+    __slots__ = ("dims", "offsets", "dim", "size_classes", "star_perm")
 
     def __init__(self, dims):
         dims = tuple(int(n) for n in dims)
@@ -72,7 +72,6 @@ class BlockStructure:
         for _, _, idx in classes:
             perm[idx] = idx.transpose(0, 2, 1)
         self.star_perm = perm
-        self._mult_table = None
 
     def __eq__(self, other):
         return isinstance(other, BlockStructure) and self.dims == other.dims
@@ -119,17 +118,6 @@ class BlockStructure:
 
     def basis(self):
         return [self.basis_element(k) for k in range(self.dim)]
-
-    @property
-    def mult_table(self):
-        """Dense structure constants C[s, t, :] = coords(e_s * e_t)."""
-        if self._mult_table is None:
-            table = np.zeros((self.dim,) * 3, dtype=complex)
-            for _, _, idx in self.size_classes:
-                # E_{r,c} E_{c,c2} = E_{r,c2}; cross-block products vanish
-                table[idx[:, :, :, None], idx[:, None, :, :], idx[:, :, None, :]] = 1.0
-            self._mult_table = table
-        return self._mult_table
 
 
 class AlgebraElement:
@@ -236,10 +224,13 @@ class AlgebraElement:
 
 
 def products(structure, x, y):
-    """Blockwise products of the rows of two coordinate stacks of the same shape."""
-    out = np.empty_like(x, dtype=complex)
+    """Blockwise products of the rows of two coordinate stacks, broadcast against each other."""
+    out = None
     for _, _, idx in structure.size_classes:
-        out[..., idx] = x.take(idx, axis=-1) @ y.take(idx, axis=-1)
+        prod = x.take(idx, axis=-1) @ y.take(idx, axis=-1)
+        if out is None:  # its leading axes are the broadcast shape (np.broadcast_shapes is slower)
+            out = np.empty(prod.shape[:-3] + (structure.dim,), dtype=complex)
+        out[..., idx] = prod
     return out
 
 

@@ -16,7 +16,14 @@ from importlib import resources
 import numpy as np
 
 from .blocks import AlgebraMap, BlockStructure, LinearFunctional, TensorSplit, is_positive
-from .groups import FiniteGroup, IrrepTable, irreps_for, is_subgroup, representation_defect
+from .groups import (
+    FiniteGroup,
+    GroupValidationError,
+    IrrepTable,
+    irreps_for,
+    is_subgroup,
+    representation_defect,
+)
 from .hopf import FiniteQuantumGroup, StructuralError
 from .tolerances import INPUT_NORM_TOL, POSITIVITY_TOL, USER_REP_TOL, WEIGHT_SIGN_TOL
 from .walks import WalkState
@@ -70,7 +77,7 @@ def function_algebra(group):
     antipode = AlgebraMap(structure, structure, smat)
     try:
         irreps = irreps_for(group)
-    except Exception:
+    except GroupValidationError:  # no bundled table for this group
         irreps = None
     return FiniteQuantumGroup(
         structure, comul, counit, antipode,
@@ -95,11 +102,8 @@ def group_algebra(group, irreps=None):
         [r.matrices.reshape(group.order, -1) for r in irreps.irreps], axis=1
     ).T
     basis_inv = np.linalg.inv(basis)
-    delta_cols = np.column_stack([
-        split.elem(structure.from_coords(basis[:, g]),
-                   structure.from_coords(basis[:, g])).coords()
-        for g in range(group.order)
-    ])
+    # column g is delta^g (x) delta^g
+    delta_cols = (basis[:, None, :] * basis[None, :, :]).reshape(-1, group.order)[split.perm]
     comul = AlgebraMap(structure, split.product, delta_cols @ basis_inv)
     counit = LinearFunctional(structure, np.linalg.solve(basis.T, np.ones(group.order)))
     smat = basis[:, [group.inv(g) for g in range(group.order)]] @ basis_inv
@@ -136,9 +140,9 @@ def _finite(name, values):
 def classical_state(fg, spec):
     """A probability on a classical group as a walk state on F(G).
 
-    ``spec`` is ("point", g), ("uniform", iterable of g) or ("weights", map
-    g -> probability); elements may be names or indices.  The density is
-    f(s) = |G| mu({s}).
+    ``spec`` is ("point", g), ("uniform", iterable of distinct g) or
+    ("weights", map g -> probability); elements may be names or indices.
+    The density is f(s) = |G| mu({s}).
     """
     real = fg.realization
     if not isinstance(real, ClassicalRealization):
@@ -160,6 +164,9 @@ def classical_state(fg, spec):
         idx = [resolve(g) for g in payload]
         if not idx:
             raise ValueError("uniform state needs a nonempty support")
+        for k, g in enumerate(idx):
+            if g in idx[:k]:
+                raise ValueError(f"uniform state lists element {group.names[g]!r} twice")
         weights[idx] = 1.0 / len(idx)
     elif kind == "weights":
         for g, w in payload.items():

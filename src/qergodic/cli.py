@@ -475,14 +475,14 @@ def cmd_experiment(qgroup, state, args):
 
     verdict = ergodicity.classify(state)
     if verdict.tag == "periodic":
-        ps = verdict.partition.projections
         d = verdict.partition.period
-        worst = 0.0
-        for i in range(d):
-            target = qgroup.split.product.zero()
-            for j in range(d):
-                target = target + qgroup.split.elem(ps[(i - j) % d], ps[j])
-            worst = max(worst, (qgroup.delta(ps[i]) - target).norm_inf())
+        P = np.array([p.coords() for p in verdict.partition.projections])
+        # outer[i, j] = p_{i-j} (x) p_j in product coordinates, summed in order of j
+        shifted = P[(np.arange(d)[:, None] - np.arange(d)) % d]
+        outer = (shifted[:, :, :, None] * P[None, :, None, :]).reshape(d, d, -1)
+        target = outer[..., qgroup.split.perm].cumsum(axis=1)[:, -1, :]
+        deltas = P @ qgroup.comul.matrix.T
+        worst = float(blocks.norms_inf(qgroup.split.product, deltas - target).max())
         payload["cyclic_comultiplication"] = {
             "period": d,
             "max_residual": _fmt(worst),

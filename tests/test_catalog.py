@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -204,6 +206,28 @@ def test_classical_weights_validation(f_s3):
 def test_classical_index_out_of_range(f_s3, spec):
     with pytest.raises(ValueError, match=r"element index -?\d+ is outside 0\.\.5"):
         classical_state(f_s3, spec)
+
+
+@pytest.mark.parametrize("payload, name", [([1, 1, 3], "(12)"), (["(13)", 0, 2], "(13)")],
+                         ids=["index_twice", "name_and_index"])
+def test_uniform_state_refuses_a_repeated_element(f_s3, payload, name):
+    # a repeat was weighted 1/len(list) but counted once, so the density did not sum to one
+    with pytest.raises(ValueError, match=rf"uniform state lists element '{re.escape(name)}' twice"):
+        classical_state(f_s3, ("uniform", payload))
+
+
+def test_function_algebra_lets_irreps_faults_through(monkeypatch):
+    # only "no bundled table" means no irreducibles; any other fault propagates
+    import qergodic.catalog
+
+    assert function_algebra(symmetric_group(4)).realization.irreps is None
+
+    def broken(group):
+        raise RuntimeError("irreps_for failed")
+
+    monkeypatch.setattr(qergodic.catalog, "irreps_for", broken)
+    with pytest.raises(RuntimeError, match="irreps_for failed"):
+        function_algebra(cyclic_group(4))
 
 
 # -- Kac-Paljutkin ------------------------------------------------------------------

@@ -187,7 +187,11 @@ def test_non_finite_config_constants_exit_2(tmp_path, capsys, config, constant):
     # float() of a weight ran outside the ConfigError mapping
     ({"weights": {"e": "abc"}}, "invalid weights state: weight of 'e' is not a number: 'abc'"),
     ({"weights": {"e": [1, 2]}}, "invalid weights state: weight of 'e' is not a number: [1, 2]"),
-], ids=["point_99", "point_-1", "uniform_99", "weight_text", "weight_list"])
+    # a repeat was refused only as "density is not normalized"
+    ({"uniform": [1, 1, 3]}, "invalid uniform state: uniform state lists element '1' twice"),
+    ({"uniform": ["2", 2]}, "invalid uniform state: uniform state lists element '2' twice"),
+], ids=["point_99", "point_-1", "uniform_99", "weight_text", "weight_list", "uniform_repeat",
+        "uniform_name_and_index"])
 def test_bad_classical_state_exit_2(tmp_path, capsys, state, message):
     code, out = run_cli(tmp_path, "verdict", dict(CFG_C4_POINT1, state=state))
     assert code == 2

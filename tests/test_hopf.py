@@ -13,6 +13,7 @@ from qergodic.blocks import (
     AlgebraMap,
     BlockStructure,
     DomainError,
+    LinearFunctional,
     is_projection,
     p_norm,
     random_element,
@@ -60,6 +61,86 @@ def test_corrupted_comultiplication_is_detected(f_c4):
     )
     report = broken.verify_axioms()
     assert report.residuals["coassociativity"] > 1e-4
+
+
+def broken_kp(kp, comul=None, counit=None, antipode=None):
+    """Kac-Paljutkin with some of its structure maps replaced, unvalidated."""
+    st = kp.structure
+    return FiniteQuantumGroup(
+        st,
+        kp.comul if comul is None else AlgebraMap(st, kp.split.product, comul),
+        kp.counit if counit is None else LinearFunctional(st, counit),
+        kp.antipode if antipode is None else AlgebraMap(st, st, antipode),
+        validate=False,
+    )
+
+
+def test_each_broken_identity_is_detected(kp):
+    antipode = kp.antipode.matrix.copy()
+    antipode[5, 6] += 1e-3
+    counit = kp.counit.coeffs.copy()
+    counit[1] += 1e-3
+    laws = {"counit_left", "counit_right", "antipode_left", "antipode_right"}
+    cases = [
+        (broken_kp(kp, antipode=antipode),
+         {"antipode_left", "antipode_right", "antipode_involutive"}),
+        (broken_kp(kp, counit=counit), laws),
+        # a phase keeps Delta coassociative but not a *-map (nor multiplicative)
+        (broken_kp(kp, comul=np.exp(1e-3j) * kp.comul.matrix),
+         laws | {"comul_star", "comul_multiplicative"}),
+        # a real scale keeps Delta a coassociative *-map, not a multiplicative one
+        (broken_kp(kp, comul=1.001 * kp.comul.matrix), laws | {"comul_multiplicative"}),
+    ]
+    for broken, raised in cases:
+        residuals = broken.verify_axioms().residuals
+        assert {name for name, value in residuals.items() if value > 1e-4} == raised
+        assert all(residuals[name] <= 1e-12 for name in residuals.keys() - raised)
+
+
+def axioms_by_pairs(qg):
+    """The Hopf residuals from a structure-constant table and a loop over basis pairs."""
+    D = qg.dim
+    st = qg.structure
+    mult = np.zeros((D,) * 3, dtype=complex)  # mult[s, t] = coords(e_s e_t)
+    for _, _, idx in st.size_classes:
+        mult[idx[:, :, :, None], idx[:, None, :, :], idx[:, :, None, :]] = 1.0
+    dk = qg.comul_kron
+    ceps = qg.counit.coeffs
+    smat = qg.antipode.matrix
+    unit = qg.unit.coords()
+    star = st.star_perm
+    sq = dict.fromkeys(("coassociativity", "counit_left", "counit_right", "antipode_left",
+                        "antipode_right", "comul_star", "comul_multiplicative"), 0.0)
+    for f in range(D):
+        W = dk[:, f].reshape(D, D)
+        sq["coassociativity"] += np.linalg.norm((dk @ W).reshape(-1) - (W @ dk.T).reshape(-1)) ** 2
+        sq["counit_left"] += np.linalg.norm(ceps @ W - np.eye(D)[f]) ** 2
+        sq["counit_right"] += np.linalg.norm(W @ ceps - np.eye(D)[f]) ** 2
+        target = ceps[f] * unit
+        sq["antipode_left"] += np.linalg.norm(
+            np.einsum("st,stk->k", smat @ W, mult) - target) ** 2
+        sq["antipode_right"] += np.linalg.norm(
+            np.einsum("st,stk->k", W @ smat.T, mult) - target) ** 2
+        sq["comul_star"] += np.linalg.norm(
+            dk[:, star[f]] - W.conj()[np.ix_(star, star)].reshape(-1)) ** 2
+    cm = qg.comul.matrix
+    cols = [qg.split.product.from_coords(cm[:, f]) for f in range(D)]
+    for s, t in itertools.product(range(D), repeat=2):
+        sq["comul_multiplicative"] += np.linalg.norm(
+            (cols[s] * cols[t]).coords() - cm @ mult[s, t]) ** 2
+    residuals = {name: np.sqrt(value) for name, value in sq.items()}
+    residuals["antipode_involutive"] = np.linalg.norm(smat @ smat - np.eye(D))
+    return residuals
+
+
+def test_stacked_axioms_match_the_pair_loop(f_s3, dual_s3, kp):
+    for qg in (f_s3, dual_s3, group_algebra(cyclic_group(6)), kp,
+               function_algebra(cyclic_group(32)), group_algebra(cyclic_group(32))):
+        got = qg.verify_axioms().residuals
+        want = axioms_by_pairs(qg)
+        assert list(got) == list(want)
+        assert all(abs(got[name] - want[name]) <= 1e-12 for name in want), qg.label
+        assert max(want.values()) <= 1e-9
 
 
 def test_haar_uniform_on_classical(f_s3):
@@ -127,7 +208,9 @@ def test_counit_composed_with_comul(dual_s3):
         assert abs(both(dual_s3.delta(f)) - dual_s3.counit(f)) < 1e-10
 
 
-def test_commutativity_flags(f_s3, dual_s3, kp):
+def test_commutativity_flags(f_s3, dual_s3, kp, f_c4):
+    for abelian in (f_c4, group_algebra(cyclic_group(4))):
+        assert abelian.is_commutative() and abelian.is_cocommutative()
     assert f_s3.is_commutative() and not f_s3.is_cocommutative()
     assert dual_s3.is_cocommutative() and not dual_s3.is_commutative()
     assert not kp.is_commutative() and not kp.is_cocommutative()
