@@ -122,6 +122,10 @@ def chi_subgroup(dual, subgroup_elems):
         raise StructuralError("chi_H lives on a group algebra")
     if not is_subgroup(real.group, subgroup_elems):
         raise ValueError("the given subset is not closed under the group law")
+    elems, counts = np.unique(np.asarray(subgroup_elems, dtype=int), return_counts=True)
+    if (counts > 1).any():
+        repeated = real.group.names[elems[counts > 1][0]]
+        raise ValueError(f"the subgroup lists element {repeated!r} more than once")
     coords = sum(real.basis[:, h] for h in subgroup_elems) / len(subgroup_elems)
     return dual.structure.from_coords(coords)
 
@@ -241,6 +245,8 @@ def kp_pure_state(kp, block, xi=None):
     for the 2x2 factor supply a unit vector xi and get a |-> <a_5 xi, xi>.
     """
     st = kp.structure
+    if not 0 <= block < len(st.dims):
+        raise ValueError(f"block {block} is outside 0..{len(st.dims) - 1}")
     n = st.dims[block]
     coeffs = np.zeros(st.dim, dtype=complex)
     if n == 1:
@@ -250,10 +256,10 @@ def kp_pure_state(kp, block, xi=None):
             xi = _finite("xi", xi)
         if xi is None or xi.shape != (n,) or abs(np.linalg.norm(xi) - 1.0) > INPUT_NORM_TOL:
             raise ValueError(f"xi must be a unit vector of length {n}")
-        for r in range(n):
-            for c in range(n):
-                # <E_rc xi, xi> = xi[c] * conj(xi[r])
-                coeffs[st.index(block, r, c)] = xi[c] * np.conj(xi[r])
+        # <E_rc xi, xi> = xi[c] * conj(xi[r]); einsum multiplies as the scalars would,
+        # where np.outer's SIMD loop may fuse the multiply-adds and move the last bit
+        coeffs[st.offsets[block]:st.offsets[block + 1]] = np.einsum(
+            "c,r->rc", xi, np.conj(xi)).ravel()
     return WalkState.from_functional_coeffs(kp, coeffs, label=f"pure block {block}")
 
 

@@ -108,6 +108,12 @@ class UnsupportedCombination(Exception):
     exit_code = 3
 
 
+# what building a group or a state raises on input it refuses: GroupValidationError,
+# DomainError and ShapeError are ValueErrors, a non-integer Cayley entry is a TypeError,
+# and an order too large to allocate is a MemoryError; any other exception is a fault
+_REFUSALS = (ValueError, TypeError, MemoryError)
+
+
 def _as_complex(value, where):
     if isinstance(value, (int, float)):
         return complex(value)
@@ -174,18 +180,18 @@ def build_quantum_group(group_spec):
             table = payload["table"] if isinstance(payload, dict) else payload
             try:
                 return catalog.function_algebra(build_group("cayley", table=table))
-            except Exception as exc:
+            except _REFUSALS as exc:
                 raise ConfigError(f"invalid Cayley table: {exc}")
         if "family" not in g or "n" not in g:
             raise ConfigError("classical group needs a family and n, or a cayley_file")
         try:
             return catalog.function_algebra(build_group(g["family"], n=g["n"]))
-        except Exception as exc:
+        except _REFUSALS as exc:
             raise ConfigError(f"cannot build classical group: {exc}")
     g = group_spec["dual"]
     try:
         return catalog.group_algebra(build_group(g["family"], n=g["n"]))
-    except Exception as exc:
+    except _REFUSALS as exc:
         raise UnsupportedCombination(f"cannot build the dual entry: {exc}")
 
 
@@ -248,7 +254,7 @@ def build_state(qgroup, state_spec):
             )
         try:
             return walks.WalkState.from_density(qgroup, qgroup.structure.from_coords(coords))
-        except Exception as exc:
+        except _REFUSALS as exc:
             raise ConfigError(f"invalid density: {exc}")
     if kind == "central":
         coeffs = {k: _as_complex(v, f"coefficients[{k}]") for k, v in payload["coefficients"].items()}
@@ -262,7 +268,7 @@ def build_state(qgroup, state_spec):
                     raise ConfigError(str(exc))
             try:
                 return walks.WalkState.from_density(qgroup, qgroup.structure.from_coords(coords))
-            except Exception as exc:
+            except _REFUSALS as exc:
                 raise ConfigError(f"coefficients do not give a state: {exc}")
         if isinstance(real, catalog.ClassicalRealization) and real.irreps is not None:
             density = qgroup.structure.zero()
@@ -273,7 +279,7 @@ def build_state(qgroup, state_spec):
                 density = density + c * qgroup.structure.from_coords(names[name].character())
             try:
                 return walks.WalkState.from_density(qgroup, density)
-            except Exception as exc:
+            except _REFUSALS as exc:
                 raise ConfigError(f"coefficients do not give a state: {exc}")
         raise UnsupportedCombination("central states need character data for the entry")
     raise ConfigError(f"unknown state kind {kind!r}")

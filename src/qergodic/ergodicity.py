@@ -25,6 +25,7 @@ from .blocks import (
     products,
     spectral_clusters,
     spectral_decomposition,
+    supports_of_positive,
 )
 from .catalog import ClassicalRealization, DualRealization
 from .groups import GroupValidationError, subgroups
@@ -187,56 +188,48 @@ def is_irreducible(nu):
     return IrreducibilityResult(route_a, support, fixed)
 
 
-def _clean_projection(group, raw):
-    """Snap an almost-projection to the nearest exact spectral projection."""
-    h = hermitian_part(raw)
-    out = group.structure.zero()
-    for lam, p in spectral_decomposition(h):
-        if lam > 0.5:
-            out = out + p
-    if (out - raw).norm_inf() > PROJECTION_EQ_TOL:
-        raise ClassificationError("operator image is not a projection")
-    return out
-
-
 def cyclic_partition(nu, d):
     """Construct and verify the T-cyclic partition of unity for a period-d walk.
 
     p_0 is the support of the Cesaro limit of nu^(*d); the remaining
     projections are its images under T: p_{d-1} = T(p_0), p_{d-2} = T(p_{d-1}),
-    and so on.  All defining invariants are verified before returning.
+    and so on, each snapped to the sum of its spectral projections above 1/2.
+    The defining invariants, T^d(p_1) = p_1 among them, are checked on the
+    (d, D) stack of the projections before returning.
     """
     if d < 2:
         raise ValueError("cyclic partitions need d >= 2")
     group = nu.group
-    T = stochastic_operator(nu)
-    phi = convolution_power(nu, d)
+    st = group.structure
+    T = stochastic_operator(nu).matrix
+    Td = np.linalg.matrix_power(T, d)
+    phi = WalkState.from_functional_coeffs(group, Td.T @ group.counit.coeffs, check=nu.checked)
     _, p0 = cesaro_limit(phi)
-    chain = [p0]
+    chain = [p0.coords()]
     for _ in range(d - 1):
-        chain.append(_clean_projection(group, T.apply(chain[-1])))
-    projections = [p0] + chain[1:][::-1]  # chain[j] = p_{d-j}; reorder to p_0..p_{d-1}
-
-    total = group.structure.zero()
-    for p in projections:
-        total = total + p
-    if (total - group.unit).norm_inf() > PROJECTION_EQ_TOL:
+        raw = T @ chain[-1]
+        chain.append(supports_of_positive(st, (raw + adjoints(st, raw)) * 0.5, 0.5))
+        if norms_inf(st, chain[-1] - raw) > PROJECTION_EQ_TOL:
+            raise ClassificationError("operator image is not a projection")
+    P = np.array(chain[:1] + chain[:0:-1])  # chain[j] = p_{d-j}; reorder to p_0..p_{d-1}
+    if norms_inf(st, P.cumsum(0)[-1] - group.unit.coords()) > PROJECTION_EQ_TOL:
         raise ClassificationError("cyclic projections do not sum to the unit")
-    for i, p in enumerate(projections):
-        for q in projections[i + 1:]:
-            if (p * q).norm_inf() > PROJECTION_EQ_TOL:
-                raise ClassificationError("cyclic projections are not orthogonal")
-        if (T.apply(p) - projections[(i - 1) % d]).norm_inf() > PROJECTION_EQ_TOL:
-            raise ClassificationError("projections are not T-cyclic")
-        if abs(group.haar(p).real - 1.0 / d) > PROJECTION_EQ_TOL:
-            raise ClassificationError("cyclic projection Haar mass is not 1/d")
+    overlaps = norms_inf(st, products(st, P[:, None], P[None]))
+    if (overlaps[~np.eye(d, dtype=bool)] > PROJECTION_EQ_TOL).any():
+        raise ClassificationError("cyclic projections are not orthogonal")
+    if (norms_inf(st, P @ T.T - np.roll(P, 1, axis=0)) > PROJECTION_EQ_TOL).any():
+        raise ClassificationError("projections are not T-cyclic")
+    if (abs(group.haar.values(P).real - 1.0 / d) > PROJECTION_EQ_TOL).any():
+        raise ClassificationError("cyclic projection Haar mass is not 1/d")
     if abs(group.counit(p0) - 1.0) > PROJECTION_EQ_TOL:
         raise ClassificationError("counit mass of p_0 is not 1")
-    if abs(nu.expect(projections[1]) - 1.0) > PROJECTION_EQ_TOL:
+    if abs(nu.functional.values(P[1]) - 1.0) > PROJECTION_EQ_TOL:
         raise ClassificationError("nu is not concentrated on p_1")
+    if norms_inf(st, Td @ P[1] - P[1]) > PROJECTION_EQ_TOL:
+        raise ClassificationError("T^d does not fix p_1")
     if not group.is_group_like_projection(p0):
         raise ClassificationError("p_0 is not group-like")
-    return CyclicPartition(d, projections)
+    return CyclicPartition(d, [p0] + [st.from_coords(p) for p in P[1:]])
 
 
 def classify(nu):
@@ -278,14 +271,8 @@ def classify(nu):
             cesaro_support=support, tv_samples=tv_samples,
         )
 
-    d = len(peripheral)
-    partition = cyclic_partition(nu, d)
-    p1 = partition.projections[1]
-    Td = np.linalg.matrix_power(T.matrix, d)
-    if (group.structure.from_coords(Td @ p1.coords()) - p1).norm_inf() > PROJECTION_EQ_TOL:
-        raise ClassificationError("T^d does not fix p_1")
     return ErgodicityVerdict(
-        "periodic", partition=partition, peripheral=peripheral,
+        "periodic", partition=cyclic_partition(nu, len(peripheral)), peripheral=peripheral,
         spectrum=evals, cesaro_support=support, tv_samples=tv_samples,
     )
 
@@ -379,39 +366,33 @@ def baraquin_check(nu):
     Reports central=False, no verdict, when the density leaves the span.
     """
     group = nu.group
+    st = group.structure
     real = group.realization
-    chars = []
     if isinstance(real, DualRealization):
         g = real.group
-        for s in range(g.order):
-            chars.append((g.names[s], group.structure.from_coords(real.basis[:, s]),
-                          1, s == g.identity))
+        names = g.names
+        chars = real.basis.T
+        dims = np.ones(g.order, dtype=int)
+        trivial = np.arange(g.order) == g.identity
     elif isinstance(real, ClassicalRealization) and real.irreps is not None:
-        g = real.group
-        for r in real.irreps.irreps:
-            vals = r.character()
-            elem = group.structure.from_coords(vals)
-            trivial = bool(np.abs(vals - 1.0).max() < TRIVIAL_CHAR_TOL)
-            chars.append((r.name, elem, r.dim, trivial))
+        irreps = real.irreps.irreps
+        names = [r.name for r in irreps]
+        chars = np.array([r.character() for r in irreps])
+        dims = np.array([r.dim for r in irreps])
+        trivial = np.abs(chars - 1.0).max(-1) < TRIVIAL_CHAR_TOL
     else:
         raise UnsupportedError("no character data for this entry")
 
-    f = nu.density
-    coefficients = []
-    recon = group.structure.zero()
-    for name, chi, d, trivial in chars:
-        coeff = complex(group.haar(chi.adjoint() * f))
-        coefficients.append((name, coeff, d, trivial))
-        recon = recon + coeff * chi
-    central = (recon - f).norm_inf() <= CHARACTER_SPAN_TOL
+    f = nu.density.coords()
+    coeffs = group.haar.values(products(st, adjoints(st, chars), f))
+    recon = (coeffs[:, None] * chars).cumsum(0)[-1]  # summed in order, as a loop would
+    central = norms_inf(st, recon - f) <= CHARACTER_SPAN_TOL
     verdict = None
     if central:
-        verdict = all(
-            abs(coeff) < d - COEFF_MARGIN for name, coeff, d, trivial in coefficients if not trivial
-        )
+        verdict = bool((abs(coeffs) < dims - COEFF_MARGIN)[~trivial].all())
     return BaraquinReport(
         central=central,
-        coefficients=[(n, c, d) for n, c, d, _ in coefficients],
+        coefficients=list(zip(names, coeffs.tolist(), dims.tolist())),
         ergodic=verdict,
     )
 

@@ -140,6 +140,8 @@ def dihedral_group(n):
 
 def group_from_cayley(table, names=None, label=""):
     table = np.asarray(table, dtype=int)
+    if table.ndim != 2:
+        raise GroupValidationError(f"Cayley table is not a 2-D array: it has {table.ndim} axes")
     if names is None:
         names = [str(i) for i in range(table.shape[0])]
     return FiniteGroup(names, table, label=label or "custom")

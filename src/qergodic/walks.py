@@ -364,7 +364,7 @@ def cesaro_limit(nu):
     if np.abs(c_spec - c_iter).max() > AGREEMENT_TOL:
         raise NumericError("spectral and iterative Cesaro limits disagree")
     limit = WalkState.from_functional_coeffs(group, c_spec, check=True, label="cesaro limit")
-    support = support_of_positive(limit.density, SUPPORT_CUTOFF)
+    support = support_projection(limit)
     if total_variation(convolve(limit, limit), limit) > IDEMPOTENCE_TOL:
         raise NumericError("Cesaro limit is not idempotent")
     if not group.is_group_like_projection(support):
@@ -376,7 +376,9 @@ def spectrum_peripheral(T):
     """Spectrum of the stochastic operator split into (all, peripheral).
 
     Asserts the spectrum sits in the closed unit disc; when 1 is a simple
-    eigenvalue the peripheral set must be the d-th roots of unity.
+    eigenvalue the peripheral set must be the d-th roots of unity.  These lie
+    2 sin(pi/d) >> 2 ``ROOT_OF_UNITY_TOL`` apart, so the d peripheral
+    eigenvalues match them one to one when each root has one of them nearby.
     """
     ev = T.eigenvalues
     if np.abs(ev).max() > 1 + PERIPHERAL_TOL:
@@ -384,15 +386,9 @@ def spectrum_peripheral(T):
     peripheral = ev[np.abs(ev) >= 1 - PERIPHERAL_TOL]
     ones = np.sum(np.abs(ev - 1.0) <= PERIPHERAL_TOL)
     if ones == 1 and len(peripheral) > 0:
-        d = len(peripheral)
-        remaining = list(peripheral)
-        for root in np.exp(2j * np.pi * np.arange(d) / d):
-            j = int(np.argmin([abs(z - root) for z in remaining]))
-            if abs(remaining[j] - root) > ROOT_OF_UNITY_TOL:
-                raise NumericError(
-                    "peripheral spectrum is not a cyclic group of roots of unity"
-                )
-            remaining.pop(j)
+        roots = np.exp(2j * np.pi * np.arange(len(peripheral)) / len(peripheral))
+        if not (abs(peripheral[:, None] - roots) <= ROOT_OF_UNITY_TOL).any(0).all():
+            raise NumericError("peripheral spectrum is not a cyclic group of roots of unity")
     return ev, peripheral
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from qergodic.blocks import is_positive, is_projection
 from qergodic.catalog import (
+    bloch_vector,
     chi_subgroup,
     classical_state,
     dual_state_from_values,
@@ -112,6 +113,12 @@ def test_chi_central_iff_normal(dual_s3, s3):
 def test_chi_rejects_non_subgroup(dual_s3, s3):
     with pytest.raises(ValueError):
         chi_subgroup(dual_s3, [0, s3.index_of("(123)")])
+
+
+def test_chi_rejects_a_repeated_element(dual_s3):
+    # [0, 0, 1] gave the coordinates (1, 1/3, 1/3, 0, 0, 1), which are not a projection
+    with pytest.raises(ValueError, match="^the subgroup lists element 'e' more than once$"):
+        chi_subgroup(dual_s3, [0, 0, 1])
 
 
 def test_permutation_rep_state_values(perm_state, dual_s3, s3):
@@ -289,6 +296,21 @@ def test_kp_pure_states_are_states(kp):
     p = support_projection(nu)
     assert is_projection(p, 1e-8)
     assert abs(np.trace(p.blocks[4]).real - 1.0) < 1e-8
+
+
+def test_kp_pure_state_coordinates_are_the_scalar_products(kp):
+    xi = bloch_vector(0.8, 1.1)
+    coeffs = kp_pure_state(kp, 4, xi).functional.coeffs
+    loop = [xi[c] * np.conj(xi[r]) for r in range(2) for c in range(2)]  # <E_rc xi, xi>
+    assert coeffs[4:].tobytes() == np.array(loop).tobytes()
+    assert not coeffs[:4].any()
+
+
+@pytest.mark.parametrize("block", [-2, -1, 5])
+def test_kp_pure_state_refuses_a_block_outside_the_algebra(kp, block):
+    # -2 gave the pure state on E11 of the 2x2 block; -1 and 5 raised an IndexError
+    with pytest.raises(ValueError, match=rf"^block {block} is outside 0\.\.4$"):
+        kp_pure_state(kp, block, bloch_vector(0.8, 1.1))
 
 
 def test_dual_subgroup_state_density(dual_s3, s3):

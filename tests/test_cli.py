@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import qergodic
+from qergodic import catalog, walks
 from qergodic.cli import (
     CONFIG_SCHEMA,
     ConfigError,
@@ -218,6 +219,53 @@ def test_cayley_file_without_table_exit_2(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err == 'error: cayley_file: the JSON object has no "table" field\n'
     assert not out.exists()
+
+
+def test_cayley_table_that_is_not_a_matrix_exit_2(tmp_path, capsys):
+    # refused only because a broad handler caught "tuple index out of range"
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"table": 5}))
+    cfg = dict(CFG_C4_POINT1, group={"classical": {"cayley_file": str(table)}})
+    code, out = run_cli(tmp_path, "verdict", cfg)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: invalid Cayley table: Cayley table is not a 2-D array: it has 0 axes\n")
+    assert not out.exists()
+
+
+def test_memory_error_building_a_group_exit_2(tmp_path, capsys, monkeypatch):
+    # an order too large to allocate stays a refusal
+    def too_large(group):
+        raise MemoryError("cannot allocate")
+
+    monkeypatch.setattr(catalog, "function_algebra", too_large)
+    code, out = run_cli(tmp_path, "verdict", CFG_C4_POINT1)
+    assert code == 2
+    assert capsys.readouterr().err == "error: cannot build classical group: cannot allocate\n"
+    assert not out.exists()
+
+
+def _fault(*args, **kwargs):
+    raise RuntimeError("internal fault")
+
+
+def test_internal_fault_building_a_group_propagates(tmp_path, monkeypatch):
+    # it read as "error: cannot build classical group: internal fault", exit 2
+    monkeypatch.setattr(catalog, "irreps_for", _fault)
+    with pytest.raises(RuntimeError, match="^internal fault$"):
+        run_cli(tmp_path, "verdict", CFG_C4_POINT1)
+
+
+@pytest.mark.parametrize("group, state", [
+    ({"classical": {"family": "cyclic", "n": 4}}, {"density": [4, 0, 0, 0]}),
+    ({"classical": {"family": "symmetric", "n": 3}}, {"central": {"coefficients": {"trivial": 1}}}),
+    ({"dual": {"family": "symmetric", "n": 3}}, {"central": {"coefficients": {"e": 1}}}),
+], ids=["density", "classical_central", "dual_central"])
+def test_internal_fault_checking_a_state_propagates(monkeypatch, group, state):
+    qgroup = build_quantum_group(group)
+    monkeypatch.setattr(walks, "check_states", _fault)
+    with pytest.raises(RuntimeError, match="^internal fault$"):
+        build_state(qgroup, state)
 
 
 def test_kmax_one_writes_one_row(tmp_path):

@@ -5,6 +5,8 @@ import pytest
 
 from qergodic.blocks import DomainError, hermitian_part, is_projection, spectral_decomposition
 from qergodic.catalog import (
+    ClassicalRealization,
+    DualRealization,
     bloch_vector,
     chi_subgroup,
     classical_state,
@@ -15,6 +17,7 @@ from qergodic.catalog import (
     state_from_positive_definite,
 )
 from qergodic.ergodicity import (
+    ClassificationError,
     _reachability_projections,
     baraquin_check,
     classify,
@@ -29,6 +32,7 @@ from qergodic.hopf import UnsupportedError
 from qergodic.groups import cyclic_group, permutation_matrices, subgroups, symmetric_group
 from qergodic.walks import (
     NumericError,
+    cesaro_limit,
     convolution_power,
     counit_state,
     haar_state,
@@ -37,7 +41,14 @@ from qergodic.walks import (
     support_projection,
     total_variation,
 )
-from qergodic.tolerances import KERNEL_TOL, ZERO_ELEMENT_TOL
+from qergodic.tolerances import (
+    CHARACTER_SPAN_TOL,
+    COEFF_MARGIN,
+    KERNEL_TOL,
+    PROJECTION_EQ_TOL,
+    TRIVIAL_CHAR_TOL,
+    ZERO_ELEMENT_TOL,
+)
 
 from classical_oracle import classify_weights
 
@@ -140,6 +151,79 @@ def test_cyclic_partition_classical_parity(f_s3, s3):
     assert np.abs(part.projections[1].coords() - (1 - even)).max() < 1e-8
     for p in part.projections:
         assert abs(f_s3.haar(p).real - 0.5) < 1e-8
+
+
+def _cyclic_partition_by_element(nu, d):
+    # the element-by-element transcription the stacked checks replaced, ending with
+    # the T^d(p_1) = p_1 check that classify made after it
+    group = nu.group
+    T = stochastic_operator(nu)
+    _, p0 = cesaro_limit(convolution_power(nu, d))
+
+    def clean(raw):
+        out = group.structure.zero()
+        for lam, p in spectral_decomposition(hermitian_part(raw)):
+            if lam > 0.5:
+                out = out + p
+        if (out - raw).norm_inf() > PROJECTION_EQ_TOL:
+            raise ClassificationError("operator image is not a projection")
+        return out
+
+    chain = [p0]
+    for _ in range(d - 1):
+        chain.append(clean(T.apply(chain[-1])))
+    projections = [p0] + chain[1:][::-1]
+    total = group.structure.zero()
+    for p in projections:
+        total = total + p
+    if (total - group.unit).norm_inf() > PROJECTION_EQ_TOL:
+        raise ClassificationError("cyclic projections do not sum to the unit")
+    for i, p in enumerate(projections):
+        for q in projections[i + 1:]:
+            if (p * q).norm_inf() > PROJECTION_EQ_TOL:
+                raise ClassificationError("cyclic projections are not orthogonal")
+        if (T.apply(p) - projections[(i - 1) % d]).norm_inf() > PROJECTION_EQ_TOL:
+            raise ClassificationError("projections are not T-cyclic")
+        if abs(group.haar(p).real - 1.0 / d) > PROJECTION_EQ_TOL:
+            raise ClassificationError("cyclic projection Haar mass is not 1/d")
+    if abs(group.counit(p0) - 1.0) > PROJECTION_EQ_TOL:
+        raise ClassificationError("counit mass of p_0 is not 1")
+    if abs(nu.expect(projections[1]) - 1.0) > PROJECTION_EQ_TOL:
+        raise ClassificationError("nu is not concentrated on p_1")
+    if not group.is_group_like_projection(p0):
+        raise ClassificationError("p_0 is not group-like")
+    p1 = projections[1]
+    Td = np.linalg.matrix_power(T.matrix, d)
+    if (group.structure.from_coords(Td @ p1.coords()) - p1).norm_inf() > PROJECTION_EQ_TOL:
+        raise ClassificationError("T^d does not fix p_1")
+    return projections
+
+
+def test_stacked_cyclic_partition_matches_element_by_element(f_s3, f_c4, perm_state, kp):
+    walks = [
+        (classical_state(f_s3, ("uniform", ["(12)", "(13)", "(23)"])), 2),
+        (classical_state(f_c4, ("point", 1)), 4),
+        (classical_state(function_algebra(cyclic_group(6)), ("point", 1)), 6),
+        (perm_state, 2),
+        (kp_pure_state(kp, 4, bloch_vector(0.8, 1.1)), 2),
+    ]
+    for nu, d in walks:
+        loop = [p.coords().tobytes() for p in _cyclic_partition_by_element(nu, d)]
+        verdict = classify(nu)
+        assert verdict.tag == "periodic"
+        for part in (verdict.partition, cyclic_partition(nu, d)):
+            assert part.period == d
+            assert [p.coords().tobytes() for p in part.projections] == loop
+
+
+@pytest.mark.parametrize("d", [3, 8])
+def test_cyclic_partition_refuses_a_wrong_period(f_c4, d):
+    # the point mass at 1 on F(C4) has period 4
+    nu = classical_state(f_c4, ("point", 1))
+    for build in (cyclic_partition, _cyclic_partition_by_element):
+        with pytest.raises(ClassificationError,
+                           match="^cyclic projections do not sum to the unit$"):
+            build(nu, d)
 
 
 def test_classify_twodim_ergodic(twodim_state):
@@ -359,6 +443,58 @@ def test_baraquin_dual_coefficients_are_u_values(dual_s3, twodim_state, s3):
     for g in range(6):
         assert abs(coeffs[s3.names[g]] - values[s3.inv(g)]) < 1e-10
     assert report.ergodic is True
+
+
+def _baraquin_by_element(nu):
+    # the element-by-element transcription the stacked expansion replaced
+    group = nu.group
+    real = group.realization
+    chars = []
+    if isinstance(real, DualRealization):
+        g = real.group
+        for s in range(g.order):
+            chars.append((g.names[s], group.structure.from_coords(real.basis[:, s]),
+                          1, s == g.identity))
+    else:
+        for r in real.irreps.irreps:
+            vals = r.character()
+            trivial = bool(np.abs(vals - 1.0).max() < TRIVIAL_CHAR_TOL)
+            chars.append((r.name, group.structure.from_coords(vals), r.dim, trivial))
+    f = nu.density
+    coefficients = []
+    recon = group.structure.zero()
+    for name, chi, d, trivial in chars:
+        coeff = complex(group.haar(chi.adjoint() * f))
+        coefficients.append((name, coeff, d, trivial))
+        recon = recon + coeff * chi
+    central = (recon - f).norm_inf() <= CHARACTER_SPAN_TOL
+    ergodic = None
+    if central:
+        ergodic = all(abs(c) < d - COEFF_MARGIN for _, c, d, trivial in coefficients
+                      if not trivial)
+    return central, [(n, c, d) for n, c, d, _ in coefficients], ergodic
+
+
+def test_stacked_baraquin_matches_element_by_element(f_s3, dual_s3):
+    rng = np.random.default_rng(15)
+    for entry in (function_algebra(cyclic_group(6)), f_s3, group_algebra(cyclic_group(6)),
+                  dual_s3):
+        real = entry.realization
+        states = [random_state(entry, rng) for _ in range(4)]
+        if isinstance(real, ClassicalRealization):
+            for _ in range(4):  # central: weights constant on conjugacy classes
+                w = np.zeros(real.group.order)
+                for cls in real.group.conjugacy_classes():
+                    w[cls] = rng.random()
+                states.append(classical_state(entry, ("weights", dict(enumerate(w / w.sum())))))
+        else:
+            states.extend(dual_subgroup_state(entry, list(H)) for H in subgroups(real.group))
+        for nu in states:
+            report = baraquin_check(nu)
+            # repr tells the types apart (np.True_ from True, np.int64(1) from 1) and
+            # prints each complex coefficient exactly
+            assert repr((report.central, report.coefficients, report.ergodic)) == repr(
+                _baraquin_by_element(nu))
 
 
 def test_quasi_subgroup_centrality(dual_s3, f_s3, s3):

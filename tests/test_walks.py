@@ -8,8 +8,10 @@ from qergodic.catalog import (
     dual_subgroup_state,
     function_algebra,
 )
+from qergodic.tolerances import PERIPHERAL_TOL, ROOT_OF_UNITY_TOL
 from qergodic.walks import (
     NumericError,
+    StochasticOperator,
     WalkState,
     cesaro_limit,
     check_states,
@@ -453,6 +455,35 @@ def test_spectrum_haar_rank_one(f_s3):
     ev, per = spectrum_peripheral(T)
     assert len(per) == 1
     assert np.abs(np.sort(np.abs(ev)) - np.array([0, 0, 0, 0, 0, 1.0])).max() < 1e-10
+
+
+def _roots_match_greedily(peripheral):
+    # the root-by-root greedy match the one comparison replaced
+    d = len(peripheral)
+    remaining = list(peripheral)
+    for root in np.exp(2j * np.pi * np.arange(d) / d):
+        j = int(np.argmin([abs(z - root) for z in remaining]))
+        if abs(remaining[j] - root) > ROOT_OF_UNITY_TOL:
+            return False
+        remaining.pop(j)
+    return True
+
+
+@pytest.mark.parametrize("diagonal, cyclic", [
+    ([1, 1j, -1, -1j], True),
+    ([1, -1, 0.5, 0], True),
+    ([1, np.exp(0.3j), 0.5, 0], False),
+    ([1, -1, -1, 0], False),
+])
+def test_peripheral_spectrum_must_be_roots_of_unity(f_c4, diagonal, cyclic):
+    T = StochasticOperator(f_c4, np.diag(np.array(diagonal, dtype=complex)))
+    peripheral = T.eigenvalues[np.abs(T.eigenvalues) >= 1 - PERIPHERAL_TOL]
+    assert _roots_match_greedily(peripheral) == cyclic
+    if cyclic:
+        assert spectrum_peripheral(T)[1].tobytes() == peripheral.tobytes()
+    else:
+        with pytest.raises(NumericError, match="^peripheral spectrum is not a cyclic group"):
+            spectrum_peripheral(T)
 
 
 def test_convolution_is_associative(f_s3, dual_s3, kp):
