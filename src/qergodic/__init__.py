@@ -48,7 +48,6 @@ from .walks import (
     haar_state,
     random_state,
     spectrum_peripheral,
-    state_from_density,
     stochastic_operator,
     support_projection,
     total_variation,

@@ -436,12 +436,6 @@ class AlgebraMap:
             raise ShapeError("element is not in the map's domain")
         return self.codomain.from_coords(self.matrix @ element.coords())
 
-    def transpose_on_functional(self, functional):
-        """phi |-> phi o self."""
-        if functional.structure != self.codomain:
-            raise ShapeError("functional is not on the map's codomain")
-        return LinearFunctional(self.domain, self.matrix.T @ functional.coeffs)
-
 
 class TensorSplit:
     """Tensor product A (x) B of two block algebras, with factor bookkeeping.
@@ -589,10 +583,6 @@ def p_norm(a, haar, p):
 def random_element(structure, rng):
     return structure.element([rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
                               for n in structure.dims])
-
-
-def random_hermitian(structure, rng):
-    return hermitian_part(random_element(structure, rng))
 
 
 def random_positive(structure, rng):

@@ -50,9 +50,6 @@ class DualRealization:
     basis: np.ndarray
     basis_inv: np.ndarray
 
-    def delta_element(self, structure, g):
-        return structure.from_coords(self.basis[:, g])
-
     def u_values(self, state):
         """The positive-definite-function face of a state: u(s) = nu(delta^s)."""
         return self.basis.T @ state.functional.coeffs
@@ -120,6 +117,12 @@ def chi_subgroup(dual, subgroup_elems):
     real = dual.realization
     if not isinstance(real, DualRealization):
         raise StructuralError("chi_H lives on a group algebra")
+    order = real.group.order
+    for h in subgroup_elems:
+        if not isinstance(h, (int, np.integer)):
+            raise ValueError(f"element index {h!r} is not an integer")
+        if not 0 <= h < order:
+            raise ValueError(f"element index {h} is outside 0..{order - 1}")
     if not is_subgroup(real.group, subgroup_elems):
         raise ValueError("the given subset is not closed under the group law")
     elems, counts = np.unique(np.asarray(subgroup_elems, dtype=int), return_counts=True)

@@ -109,7 +109,7 @@ class UnsupportedCombination(Exception):
 
 
 # what building a group or a state raises on input it refuses: GroupValidationError,
-# DomainError and ShapeError are ValueErrors, a non-integer Cayley entry is a TypeError,
+# DomainError and ShapeError are ValueErrors, a Cayley entry that is not a number is a TypeError,
 # and an order too large to allocate is a MemoryError; any other exception is a fault
 _REFUSALS = (ValueError, TypeError, MemoryError)
 

@@ -50,11 +50,11 @@ from .tolerances import (
 )
 from .walks import (
     WalkState,
+    _cesaro_limit,
     _null_space,
+    _tv_to_haar,
     cesaro_limit,
-    convolution_power,
     convolve,
-    haar_state,
     settled_power,
     spectrum_peripheral,
     stochastic_operator,
@@ -166,10 +166,10 @@ def is_irreducible(nu):
     some convolution power nu^(*k), k <= sum of block sizes.
     """
     group = nu.group
-    _, support = cesaro_limit(nu)
+    T = stochastic_operator(nu)
+    _, support = _cesaro_limit(group, T.matrix)
     route_a = bool((support - group.unit).norm_inf() <= PROJECTION_EQ_TOL)
 
-    T = stochastic_operator(nu)
     fixed = _fixed_point_projections(group, T)
     route_b = len(fixed) == 0
 
@@ -199,9 +199,12 @@ def cyclic_partition(nu, d):
     """
     if d < 2:
         raise ValueError("cyclic partitions need d >= 2")
+    return _cyclic_partition(nu, stochastic_operator(nu).matrix, d)
+
+
+def _cyclic_partition(nu, T, d):
     group = nu.group
     st = group.structure
-    T = stochastic_operator(nu).matrix
     Td = np.linalg.matrix_power(T, d)
     phi = WalkState.from_functional_coeffs(group, Td.T @ group.counit.coeffs, check=nu.checked)
     _, p0 = cesaro_limit(phi)
@@ -239,13 +242,14 @@ def classify(nu):
     walks the peripheral spectrum of the stochastic operator fixes the period.
     An Ergodic verdict is additionally verified empirically by driving the
     total variation distance below ``ERGODIC_TV_TOL`` at a step count set by the spectral gap.
+    T is built once, and every stage reads it.
     """
     group = nu.group
-    limit, support = cesaro_limit(nu)
     T = stochastic_operator(nu)
+    _, support = _cesaro_limit(group, T.matrix)
     evals, peripheral = spectrum_peripheral(T)
-    haar = haar_state(group)
-    tv_samples = [(k, total_variation(convolution_power(nu, k), haar)) for k in (1, 2, 4, 8)]
+    ks = (1, 2, 4, 8)
+    tv_samples = list(zip(ks, _tv_to_haar(nu, T.matrix, ks)))
 
     if (support - group.unit).norm_inf() > PROJECTION_EQ_TOL:
         if abs(nu.expect(support) - 1.0) > PROJECTION_EQ_TOL:
@@ -261,7 +265,7 @@ def classify(nu):
             k_star = 1
         else:
             k_star = min(int(np.ceil(np.log(GAP_DECAY_TARGET) / np.log(gap_lambda))) + 1, 2 ** 50)
-        tv_far = total_variation(convolution_power(nu, k_star), haar)
+        [tv_far] = _tv_to_haar(nu, T.matrix, (k_star,))
         if tv_far > ERGODIC_TV_TOL:
             raise ClassificationError(
                 f"spectral gap promises convergence but TV at k={k_star} is {tv_far:.2e}"
@@ -272,8 +276,8 @@ def classify(nu):
         )
 
     return ErgodicityVerdict(
-        "periodic", partition=cyclic_partition(nu, len(peripheral)), peripheral=peripheral,
-        spectrum=evals, cesaro_support=support, tv_samples=tv_samples,
+        "periodic", partition=_cyclic_partition(nu, T.matrix, len(peripheral)),
+        peripheral=peripheral, spectrum=evals, cesaro_support=support, tv_samples=tv_samples,
     )
 
 

@@ -139,9 +139,16 @@ def dihedral_group(n):
 
 
 def group_from_cayley(table, names=None, label=""):
-    table = np.asarray(table, dtype=int)
+    table = np.asarray(table)
     if table.ndim != 2:
         raise GroupValidationError(f"Cayley table is not a 2-D array: it has {table.ndim} axes")
+    if table.dtype.kind in "fc":
+        off = ~np.isfinite(table) | (table != table.real.round())
+        if off.any():
+            r, c = np.argwhere(off)[0].tolist()
+            raise GroupValidationError(
+                f"Cayley table entry {table[r, c]} in row {r}, column {c} is not an integer")
+    table = table.astype(int)
     if names is None:
         names = [str(i) for i in range(table.shape[0])]
     return FiniteGroup(names, table, label=label or "custom")

@@ -25,7 +25,6 @@ from .blocks import (
 from .groups import FiniteGroup, GroupValidationError, subgroups
 from .tolerances import (
     CENSUS_NULL_RTOL,
-    COMMUTATIVITY_TOL,
     EXACT_DEFECT_TOL,
     HAAR_NULL_RTOL,
     HAAR_WEIGHT_FLOOR,
@@ -273,10 +272,6 @@ class FiniteQuantumGroup:
             "antipode_involutive": np.linalg.norm(smat @ smat - eye),
         }
         return HopfAxiomReport({name: float(v) for name, v in residuals.items()})
-
-    def is_cocommutative(self):
-        dk3 = self.comul_kron.reshape((self.dim,) * 3)  # [s, t, f]
-        return float(np.abs(dk3 - dk3.transpose(1, 0, 2)).max()) <= COMMUTATIVITY_TOL
 
     def is_commutative(self):
         """A direct sum of matrix blocks is commutative exactly when every block is 1x1."""

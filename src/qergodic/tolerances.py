@@ -39,8 +39,6 @@ HAAR_NULL_RTOL = 1e-10
 STRUCTURE_TOL = 1e-9
 # each Haar block weight must exceed this, or the Haar state is not faithful: chosen
 HAAR_WEIGHT_FLOOR = 1e-12
-# structure constants are exact or closed forms, so cocommutativity holds to this: chosen
-COMMUTATIVITY_TOL = 1e-10
 # two projections are equal, and a projection is group-like, within this: chosen
 PROJECTION_EQ_TOL = 1e-8
 # identities a passed gate implies (counit(p) = 1, S(p) = p, density p / h(p)); failure is a bug

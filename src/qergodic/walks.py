@@ -114,15 +114,14 @@ class WalkState:
     __slots__ = ("group", "density", "functional", "checked", "label")
 
     def __init__(self, group, density=None, functional=None, check=True, label=""):
-        if density is None and functional is None:
-            raise ValueError("provide a density or a functional")
+        if (density is None) == (functional is None):
+            raise ValueError("provide one of a density and a functional")
         # NaN and inf are refused, formal states too, ahead of the conversion that would spread them
         if density is None:
             _require_finite(functional.coeffs, "functional coefficient")
             density = density_from_functional(group, functional.coeffs)
         else:
             _require_finite(density.coords(), "density coordinate")
-        if functional is None:
             functional = LinearFunctional(
                 group.structure, functionals_from_densities(group, density.coords())
             )
@@ -164,10 +163,6 @@ def haar_state(group):
     return WalkState(group, density=group.unit, label="haar")
 
 
-def state_from_density(group, density, check=True):
-    return WalkState.from_density(group, density, check=check)
-
-
 class StochasticOperator:
     """The linear action T_nu = (nu (x) id) o Delta on the algebra."""
 
@@ -196,10 +191,6 @@ class StochasticOperator:
 
     def __call__(self, element):
         return self.apply(element)
-
-    def transpose_functional(self, functional):
-        """phi |-> phi o T, i.e. phi T in the walk notation."""
-        return LinearFunctional(self.group.structure, self.matrix.T @ functional.coeffs)
 
 
 def stochastic_operator(state):
@@ -241,6 +232,25 @@ def convolution_power(nu, k):
     T = stochastic_operator(nu)
     tk = np.linalg.matrix_power(T.matrix, k)
     return WalkState.from_functional_coeffs(group, tk.T @ group.counit.coeffs, check=nu.checked)
+
+
+def _tv_to_haar(nu, T, ks):
+    """TV from nu^(*k) to the Haar state for each k >= 1 of ``ks``; ``T`` is T_nu's matrix.
+
+    The rows eps T^k, k > 1, are :func:`convolution_power`'s, refused if not
+    finite and checked as one stack when nu is checked; row k = 1 is nu's density.
+    """
+    group = nu.group
+    powers = np.array([np.linalg.matrix_power(T, k).T @ group.counit.coeffs
+                       for k in ks if k > 1]).reshape(-1, group.dim)
+    _require_finite(powers, "functional coefficient")
+    densities = densities_from_functionals(group, powers)
+    if nu.checked:
+        check_states(group, densities, powers)
+    rows = iter(densities)
+    stack = np.array([nu.density.coords() if k == 1 else next(rows) for k in ks])
+    l1, _, _ = lp_norms(group.structure, stack - group.unit.coords(), group.haar_weights)
+    return (0.5 * l1).tolist()
 
 
 def total_variation(nu, mu):
@@ -351,8 +361,10 @@ def cesaro_limit(nu):
     ``AGREEMENT_TOL``.  The limit is verified idempotent and its support
     group-like.
     """
-    group = nu.group
-    T = stochastic_operator(nu).matrix
+    return _cesaro_limit(nu.group, stochastic_operator(nu).matrix)
+
+
+def _cesaro_limit(group, T):
     P_spec = _cesaro_spectral(T)
     # the spectrum of (I + T)/2 sits strictly inside the unit disc except at
     # 1, so its powers converge to the eigenvalue-1 projection even for

@@ -82,7 +82,7 @@ def test_group_algebra_comultiplication_is_diagonal(dual_s3):
     real = dual_s3.realization
     split = dual_s3.split
     for g in range(6):
-        d = real.delta_element(dual_s3.structure, g)
+        d = dual_s3.structure.from_coords(real.basis[:, g])
         assert (dual_s3.delta(d) - split.elem(d, d)).norm_inf() < 1e-12
 
 
@@ -113,6 +113,16 @@ def test_chi_central_iff_normal(dual_s3, s3):
 def test_chi_rejects_non_subgroup(dual_s3, s3):
     with pytest.raises(ValueError):
         chi_subgroup(dual_s3, [0, s3.index_of("(123)")])
+
+
+@pytest.mark.parametrize("elems, message", [
+    ([0, -3], "element index -3 is outside 0..5"),  # -3 wrapped to 3, giving chi of {e, (23)}
+    ([0, 99], "element index 99 is outside 0..5"),
+    ([0, 1.0], "element index 1.0 is not an integer"),
+])
+def test_chi_refuses_an_element_index_outside_the_group(dual_s3, elems, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        chi_subgroup(dual_s3, elems)
 
 
 def test_chi_rejects_a_repeated_element(dual_s3):

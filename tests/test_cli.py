@@ -233,6 +233,18 @@ def test_cayley_table_that_is_not_a_matrix_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cayley_table_with_a_non_integer_entry_exit_2(tmp_path, capsys):
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"table": [[0, 1.7], [1.2, 0]]}))
+    cfg = dict(CFG_C4_POINT1, group={"classical": {"cayley_file": str(table)}})
+    code, out = run_cli(tmp_path, "verdict", cfg)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: invalid Cayley table: Cayley table entry 1.7 in row 0, column 1 "
+        "is not an integer\n")
+    assert not out.exists()
+
+
 def test_memory_error_building_a_group_exit_2(tmp_path, capsys, monkeypatch):
     # an order too large to allocate stays a refusal
     def too_large(group):

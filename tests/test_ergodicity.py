@@ -32,6 +32,7 @@ from qergodic.hopf import UnsupportedError
 from qergodic.groups import cyclic_group, permutation_matrices, subgroups, symmetric_group
 from qergodic.walks import (
     NumericError,
+    _tv_to_haar,
     cesaro_limit,
     convolution_power,
     counit_state,
@@ -44,7 +45,9 @@ from qergodic.walks import (
 from qergodic.tolerances import (
     CHARACTER_SPAN_TOL,
     COEFF_MARGIN,
+    GAP_DECAY_TARGET,
     KERNEL_TOL,
+    PERIPHERAL_TOL,
     PROJECTION_EQ_TOL,
     TRIVIAL_CHAR_TOL,
     ZERO_ELEMENT_TOL,
@@ -224,6 +227,74 @@ def test_cyclic_partition_refuses_a_wrong_period(f_c4, d):
         with pytest.raises(ClassificationError,
                            match="^cyclic projections do not sum to the unit$"):
             build(nu, d)
+
+
+def _tv_by_loop(nu, ks):
+    """TV from nu^(*k) to the Haar state, one checked convolution power at a time."""
+    haar = haar_state(nu.group)
+    return [total_variation(convolution_power(nu, k), haar) for k in ks]
+
+
+def _k_star(spectrum):
+    """The step count at which an ergodic verdict checks TV, from its spectral gap."""
+    gap = max((abs(x) for x in spectrum if abs(x) < 1 - PERIPHERAL_TOL), default=0.0)
+    if gap == 0.0:
+        return 1
+    return min(int(np.ceil(np.log(GAP_DECAY_TARGET) / np.log(gap))) + 1, 2 ** 50)
+
+
+def _tv_walks(f_s3, kp, twodim_state):
+    return {
+        "F(S3) transpositions": (classical_state(f_s3, ("uniform", ["(12)", "(13)", "(23)"])),
+                                 "periodic"),
+        "F(C8) {2, 6}": (classical_state(function_algebra(cyclic_group(8)),
+                                         ("weights", {2: 0.5, 6: 0.5})), "reducible"),
+        "KP faithful": (random_state(kp, np.random.default_rng(19), ridge=0.05), "ergodic"),
+        "C[S3] formal": (twodim_state, "ergodic"),
+        "F(C1) point": (classical_state(function_algebra(cyclic_group(1)), ("point", 0)),
+                        "ergodic"),
+    }
+
+
+def test_tv_samples_equal_the_per_power_loop(f_s3, kp, twodim_state):
+    for name, (nu, tag) in _tv_walks(f_s3, kp, twodim_state).items():
+        verdict = classify(nu)
+        assert verdict.tag == tag, name
+        ks = [k for k, _ in verdict.tv_samples]
+        assert ks == [1, 2, 4, 8], name
+        assert [tv.hex() for _, tv in verdict.tv_samples] == [
+            tv.hex() for tv in _tv_by_loop(nu, ks)], name
+        if tag == "ergodic":
+            k_star = _k_star(verdict.spectrum)
+            assert (k_star == 1) == (name == "F(C1) point"), name  # F(C1): no power to stack
+            far = _tv_to_haar(nu, stochastic_operator(nu).matrix, (k_star,))
+            assert [tv.hex() for tv in far] == [tv.hex() for tv in _tv_by_loop(nu, [k_star])]
+
+
+def test_classify_builds_the_stochastic_operator_once(monkeypatch, f_s3, kp, twodim_state):
+    from qergodic import ergodicity, walks
+
+    built = []
+    build = walks.stochastic_operator
+
+    def counting_build(state):
+        built.append(state)
+        return build(state)
+
+    def no_power(nu, k):
+        raise AssertionError("classify took a convolution power")
+
+    for module in (walks, ergodicity):
+        monkeypatch.setattr(module, "stochastic_operator", counting_build)
+        monkeypatch.setattr(module, "convolution_power", no_power, raising=False)
+    # a periodic walk builds T twice while its partition takes the Cesaro limit of nu^(*d)
+    for name, (nu, tag) in _tv_walks(f_s3, kp, twodim_state).items():
+        built.clear()
+        assert classify(nu).tag == tag, name
+        assert len(built) == (2 if tag == "periodic" else 1), name
+        built.clear()
+        is_irreducible(nu)
+        assert len(built) == 1, name
 
 
 def test_classify_twodim_ergodic(twodim_state):

@@ -82,6 +82,16 @@ def test_from_cayley_rejects_entries_out_of_range():
             group_from_cayley(table)
 
 
+def test_from_cayley_rejects_non_integer_entries():
+    # the entries were truncated, which made this table C2
+    with pytest.raises(GroupValidationError,
+                       match="^Cayley table entry 1.7 in row 0, column 1 is not an integer$"):
+        group_from_cayley([[0, 1.7], [1.2, 0]])
+    with pytest.raises(GroupValidationError, match="entry nan in row 1, column 0 is not"):
+        group_from_cayley([[0, 1], [float("nan"), 0]])
+    assert group_from_cayley([[0.0, 1.0], [1.0, 0.0]]).cayley.tolist() == [[0, 1], [1, 0]]
+
+
 def test_from_cayley_rejects_nonassociative():
     # a Latin square (quasigroup) that is not a group: build from a loop of order 5
     table = [

@@ -25,7 +25,6 @@ from qergodic.walks import (
     random_state,
     settled_power,
     spectrum_peripheral,
-    state_from_density,
     stochastic_operator,
     support_projection,
     support_projections,
@@ -43,18 +42,18 @@ def test_density_functional_roundtrip(f_s3, dual_s3, kp):
             nu = random_state(entry, RNG)
             back = WalkState.from_functional_coeffs(entry, nu.functional.coeffs)
             assert (back.density - nu.density).norm_inf() < 1e-12
-            again = state_from_density(entry, nu.density)
+            again = WalkState.from_density(entry, nu.density)
             assert np.abs(again.functional.coeffs - nu.functional.coeffs).max() < 1e-12
 
 
 def test_unit_density_is_haar(f_s3):
-    nu = state_from_density(f_s3, f_s3.unit)
+    nu = WalkState.from_density(f_s3, f_s3.unit)
     assert total_variation(nu, haar_state(f_s3)) < 1e-12
 
 
 def test_eta_density_is_counit(kp):
     eta = kp.haar_element
-    nu = state_from_density(kp, eta * (1.0 / kp.haar(eta).real))
+    nu = WalkState.from_density(kp, eta * (1.0 / kp.haar(eta).real))
     eps = counit_state(kp)
     assert np.abs(nu.functional.coeffs - eps.functional.coeffs).max() < 1e-12
 
@@ -69,9 +68,16 @@ def test_random_density_gives_state(kp):
 
 def test_invalid_density_rejected(f_s3):
     with pytest.raises(DomainError):
-        state_from_density(f_s3, -1 * f_s3.unit)
+        WalkState.from_density(f_s3, -1 * f_s3.unit)
     with pytest.raises(DomainError):
-        state_from_density(f_s3, 2 * f_s3.unit)
+        WalkState.from_density(f_s3, 2 * f_s3.unit)
+
+
+def test_a_state_takes_one_of_density_and_functional(f_c4):
+    # the two faces are not checked against each other, so a state takes only one
+    for faces in ({"density": f_c4.unit, "functional": f_c4.counit}, {}):
+        with pytest.raises(ValueError, match="^provide one of a density and a functional$"):
+            WalkState(f_c4, **faces)
 
 
 @pytest.mark.parametrize("k, value", [(5, np.nan), (0, np.inf), (7, complex(0, -np.inf))])
@@ -184,7 +190,7 @@ def test_T_diagonal_on_dual(dual_s3, perm_state):
     values = real.u_values(perm_state)
     T = stochastic_operator(perm_state)
     for g in range(6):
-        d = real.delta_element(dual_s3.structure, g)
+        d = dual_s3.structure.from_coords(real.basis[:, g])
         assert (T(d) - values[g] * d).norm_inf() < 1e-10
 
 
@@ -204,8 +210,8 @@ def test_T_properties_i_to_viii(f_s3, dual_s3, kp):
         mu = random_state(entry, RNG)
         T = stochastic_operator(nu)
         # i. mu T = nu * mu
-        pulled = T.transpose_functional(mu.functional)
-        assert np.abs(pulled.coeffs - convolve(nu, mu).functional.coeffs).max() < 1e-10
+        pulled = T.matrix.T @ mu.functional.coeffs
+        assert np.abs(pulled - convolve(nu, mu).functional.coeffs).max() < 1e-10
         # ii. T^k = T_{nu^(*k)}
         T3 = np.linalg.matrix_power(T.matrix, 3)
         assert np.abs(T3 - stochastic_operator(convolution_power(nu, 3)).matrix).max() < 1e-10
@@ -225,8 +231,8 @@ def test_T_properties_i_to_viii(f_s3, dual_s3, kp):
             ])
             assert vals.min() > -1e-9
         # vi. haar o T = haar
-        pulled = T.transpose_functional(entry.haar)
-        assert np.abs(pulled.coeffs - entry.haar.coeffs).max() < 1e-10
+        pulled = T.matrix.T @ entry.haar.coeffs
+        assert np.abs(pulled - entry.haar.coeffs).max() < 1e-10
         # vii. T(g) = S(f_nu) (*) g
         sf = entry.antipode(nu.density)
         for _ in range(5):
@@ -374,7 +380,7 @@ def test_support_null_space_cross_check(kp, dual_s3):
             d = p * h * p
             if entry.haar(d).real < 1e-6:
                 continue
-            nu = state_from_density(entry, d * (1.0 / entry.haar(d).real))
+            nu = WalkState.from_density(entry, d * (1.0 / entry.haar(d).real))
             pnu = support_projection(nu)
             D = entry.dim
             basis = entry.structure.basis()
