@@ -50,21 +50,23 @@ class BlockStructure:
     __slots__ = ("dims", "offsets", "dim", "size_classes", "star_perm")
 
     def __init__(self, dims):
-        dims = tuple(int(n) for n in dims)
+        dims = tuple(dims)
+        if not set(map(type, dims)) <= {int}:
+            dims = tuple(_block_dimension(n) for n in dims)
         if not dims:
             raise ValueError("at least one block is required")
-        if any(n <= 0 for n in dims):
+        if min(dims) <= 0:
             raise ValueError("block dimensions must be positive")
         self.dims = dims
-        offsets = [0]
-        for n in dims:
-            offsets.append(offsets[-1] + n * n)
-        self.offsets = tuple(offsets)
-        self.dim = offsets[-1]
+        sizes = np.array(dims)
+        offsets = np.zeros(len(dims) + 1, dtype=int)
+        np.cumsum(sizes * sizes, out=offsets[1:])
+        self.offsets = tuple(offsets.tolist())
+        self.dim = self.offsets[-1]
         classes = []
         for n in sorted(set(dims)):
-            ids = np.flatnonzero(np.array(dims) == n)
-            idx = np.array(offsets)[ids, None, None] + np.arange(n * n).reshape(n, n)
+            ids = np.flatnonzero(sizes == n)
+            idx = offsets[ids, None, None] + np.arange(n * n).reshape(n, n)
             classes.append((n, ids, idx))
         self.size_classes = tuple(classes)
         # coords(a*) = conj(coords(a))[star_perm]: transpose every block
@@ -109,7 +111,10 @@ class BlockStructure:
         return AlgebraElement._own(self, np.zeros(self.dim, dtype=complex))
 
     def unit(self):
-        return self.element([np.eye(n, dtype=complex) for n in self.dims])
+        coords = np.zeros(self.dim, dtype=complex)
+        for n, _, idx in self.size_classes:
+            coords[idx[:, np.arange(n), np.arange(n)]] = 1.0
+        return AlgebraElement._own(self, coords)
 
     def basis_element(self, k):
         coords = np.zeros(self.dim, dtype=complex)
@@ -118,6 +123,14 @@ class BlockStructure:
 
     def basis(self):
         return [self.basis_element(k) for k in range(self.dim)]
+
+
+def _block_dimension(n):
+    """``n`` as a Python int; a boolean or a non-integral dimension is refused by name."""
+    if (isinstance(n, (bool, np.bool_)) or not isinstance(n, numbers.Real)
+            or not float(n).is_integer()):
+        raise ValueError(f"block dimension {n!r} is not an integer")
+    return int(n)
 
 
 class AlgebraElement:
@@ -228,6 +241,8 @@ def products(structure, x, y):
     out = None
     for _, _, idx in structure.size_classes:
         prod = x.take(idx, axis=-1) @ y.take(idx, axis=-1)
+        if len(structure.size_classes) == 1:  # the coordinates are the blocks in order
+            return prod.reshape(prod.shape[:-3] + (structure.dim,)).astype(complex, copy=False)
         if out is None:  # its leading axes are the broadcast shape (np.broadcast_shapes is slower)
             out = np.empty(prod.shape[:-3] + (structure.dim,), dtype=complex)
         out[..., idx] = prod
@@ -449,16 +464,23 @@ class TensorSplit:
     def __init__(self, left, right):
         self.left = left
         self.right = right
-        dims = [na * nb for na in left.dims for nb in right.dims]
-        self.product = BlockStructure(dims)
-        ka = [np.arange(o, o + n * n).reshape(n, n) for o, n in zip(left.offsets, left.dims)]
-        kb = [np.arange(o, o + n * n).reshape(n, n) for o, n in zip(right.offsets, right.dims)]
-        # entry ((r1, r2), (c1, c2)) of product block (ia, ib) is kron index (ia r1 c1, ib r2 c2)
-        self.perm = np.concatenate([
-            (a[:, None, :, None] * right.dim + b[None, :, None, :]).reshape(-1)
-            for a in ka for b in kb
-        ])
-        self.inv_perm = np.argsort(self.perm)
+        self.product = BlockStructure(
+            (np.array(left.dims)[:, None] * np.array(right.dims)).ravel().tolist())
+        offsets = np.array(self.product.offsets)
+        count = len(right.dims)
+        # entry ((r1, r2), (c1, c2)) of product block (ia, ib) is kron index (ia r1 c1, ib r2 c2):
+        # one assignment per pair of size classes, each product block at its own offset
+        perm = np.empty(self.product.dim, dtype=int)
+        for na, ids_a, idx_a in left.size_classes:
+            for nb, ids_b, idx_b in right.size_classes:
+                kron = (idx_a[:, None, :, None, :, None] * right.dim
+                        + idx_b[None, :, None, :, None, :])
+                start = offsets[ids_a[:, None] * count + ids_b]
+                size = (na * nb) ** 2
+                perm[start[..., None] + np.arange(size)] = kron.reshape(start.shape + (size,))
+        self.perm = perm
+        self.inv_perm = np.empty_like(perm)
+        self.inv_perm[perm] = np.arange(len(perm))
 
     def elem(self, a, b):
         if a.structure != self.left or b.structure != self.right:
@@ -581,8 +603,11 @@ def p_norm(a, haar, p):
 
 
 def random_element(structure, rng):
-    return structure.element([rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-                              for n in structure.dims])
+    """Gaussian blocks: each block's real then imaginary part, block by block, from one draw."""
+    sizes = np.array(structure.dims) ** 2
+    real = np.arange(structure.dim) + np.repeat(np.array(structure.offsets[:-1]), sizes)
+    z = rng.standard_normal(2 * structure.dim)
+    return AlgebraElement._own(structure, z[real] + 1j * z[real + np.repeat(sizes, sizes)])
 
 
 def random_positive(structure, rng):

@@ -103,7 +103,7 @@ def group_algebra(group, irreps=None):
     delta_cols = (basis[:, None, :] * basis[None, :, :]).reshape(-1, group.order)[split.perm]
     comul = AlgebraMap(structure, split.product, delta_cols @ basis_inv)
     counit = LinearFunctional(structure, np.linalg.solve(basis.T, np.ones(group.order)))
-    smat = basis[:, [group.inv(g) for g in range(group.order)]] @ basis_inv
+    smat = basis[:, group.inverse] @ basis_inv
     antipode = AlgebraMap(structure, structure, smat)
     return FiniteQuantumGroup(
         structure, comul, counit, antipode,
@@ -125,9 +125,10 @@ def chi_subgroup(dual, subgroup_elems):
             raise ValueError(f"element index {h} is outside 0..{order - 1}")
     if not is_subgroup(real.group, subgroup_elems):
         raise ValueError("the given subset is not closed under the group law")
-    elems, counts = np.unique(np.asarray(subgroup_elems, dtype=int), return_counts=True)
-    if (counts > 1).any():
-        repeated = real.group.names[elems[counts > 1][0]]
+    elems = np.sort(np.asarray(subgroup_elems, dtype=int))
+    repeated = elems[1:][elems[1:] == elems[:-1]]
+    if len(repeated):
+        repeated = real.group.names[repeated[0]]
         raise ValueError(f"the subgroup lists element {repeated!r} more than once")
     coords = sum(real.basis[:, h] for h in subgroup_elems) / len(subgroup_elems)
     return dual.structure.from_coords(coords)
@@ -157,6 +158,8 @@ def classical_state(fg, spec):
     group = real.group
 
     def resolve(g):
+        if isinstance(g, (bool, np.bool_)):
+            raise ValueError(f"element index {g!r} is a boolean, not an element")
         if not isinstance(g, int):
             return group.index_of(g)
         if not 0 <= g < group.order:
@@ -178,6 +181,8 @@ def classical_state(fg, spec):
     elif kind == "weights":
         for g, w in payload.items():
             try:
+                if isinstance(w, (bool, np.bool_, str, bytes)):  # float() would read them
+                    raise TypeError(w)
                 w = float(w)
             except (TypeError, ValueError):
                 raise ValueError(f"weight of {g!r} is not a number: {w!r}") from None

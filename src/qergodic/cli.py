@@ -114,12 +114,14 @@ class UnsupportedCombination(Exception):
 _REFUSALS = (ValueError, TypeError, MemoryError)
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _as_complex(value, where):
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         return complex(value)
-    if isinstance(value, list) and len(value) == 2 and all(
-        isinstance(v, (int, float)) for v in value
-    ):
+    if isinstance(value, list) and len(value) == 2 and all(map(_is_number, value)):
         return complex(value[0], value[1])
     raise ConfigError(f"{where}: expected a number or an [re, im] pair, got {value!r}")
 

@@ -213,15 +213,19 @@ def normal_subgroups(group):
 
 
 def is_subgroup(group, elems):
-    s = np.unique(np.array(list(elems), dtype=int))
+    s = np.array(list(elems), dtype=int)
     if 0 not in s:
         return False
     members = np.zeros(group.order, dtype=bool)
     members[s] = True
+    s = np.flatnonzero(members)
     return bool(members[group.cayley[np.ix_(s, s)]].all())
 
 
 # -- irreducible representations ---------------------------------------------------
+
+
+_LAW_BATCH = 1 << 16  # matrix entries per chunk of the homomorphism check: 1 MiB of complex
 
 
 def representation_defect(group, matrices, tol):
@@ -229,15 +233,21 @@ def representation_defect(group, matrices, tol):
 
     Elements are taken in index order, unitarity of M[g] before the
     homomorphism law M[g] M[h] = M[gh] over all h: returns ("unitary", g) or
-    ("homomorphism", g), or None for a unitary representation.
+    ("homomorphism", g), or None for a unitary representation.  The law is
+    checked for all g below the first non-unitary element at once, in chunks
+    of g of at most ``_LAW_BATCH`` matrix entries.
     """
     mats = np.asarray(matrices, dtype=complex)
     unitary_err = np.abs(mats @ mats.conj().transpose(0, 2, 1) - np.eye(mats.shape[1]))
     not_unitary = np.flatnonzero(unitary_err.max(axis=(1, 2)) > tol)
     first = not_unitary[0] if len(not_unitary) else group.order
-    for a in range(first):
-        if np.abs(mats[a] @ mats - mats[group.cayley[a]]).max() > tol:
-            return "homomorphism", a
+    chunk = max(1, _LAW_BATCH // mats[0].size // group.order)
+    for start in range(0, first, chunk):
+        a = np.arange(start, min(start + chunk, first))
+        err = np.abs(mats[a, None] @ mats - mats[group.cayley[a]]).max(axis=(1, 2, 3))
+        broken = np.flatnonzero(err > tol)
+        if len(broken):
+            return "homomorphism", int(a[broken[0]])
     return None if first == group.order else ("unitary", int(first))
 
 

@@ -129,6 +129,9 @@ def test_chi_rejects_a_repeated_element(dual_s3):
     # [0, 0, 1] gave the coordinates (1, 1/3, 1/3, 0, 0, 1), which are not a projection
     with pytest.raises(ValueError, match="^the subgroup lists element 'e' more than once$"):
         chi_subgroup(dual_s3, [0, 0, 1])
+    # the smallest repeated element is named
+    with pytest.raises(ValueError, match=r"^the subgroup lists element '\(123\)' more than once$"):
+        chi_subgroup(dual_s3, [5, 4, 0, 5, 4])
 
 
 def test_permutation_rep_state_values(perm_state, dual_s3, s3):
@@ -216,6 +219,23 @@ def test_classical_weights_validation(f_s3):
         classical_state(f_s3, ("weights", {"e": 1.5, "(12)": -0.5}))
     with pytest.raises(ValueError, match="weight of 'e' is not a number"):
         classical_state(f_s3, ("weights", {"e": None}))
+
+
+@pytest.mark.parametrize("spec, message", [
+    # numpy read True as a mask and set every weight; [False, True] ended in an IndexError
+    (("point", True), "element index True is a boolean, not an element"),
+    (("uniform", [False, True]), "element index False is a boolean, not an element"),
+    (("point", np.True_), "element index np.True_ is a boolean, not an element"),
+    (("weights", {True: 1.0}), "element index True is a boolean, not an element"),
+    # float() read them as numbers
+    (("weights", {0: True}), "weight of 0 is not a number: True"),
+    (("weights", {0: "0.5", 1: "0.5"}), "weight of 0 is not a number: '0.5'"),
+    (("weights", {"e": 0.5, "(12)": b"0.5"}), r"weight of '\(12\)' is not a number: b'0.5'"),
+], ids=["point_true", "uniform_bools", "point_numpy_bool", "weight_key_true", "weight_true",
+        "weight_text", "weight_bytes"])
+def test_classical_state_refuses_booleans_and_strings(f_s3, spec, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        classical_state(f_s3, spec)
 
 
 @pytest.mark.parametrize("spec", [("point", 6), ("point", -1), ("uniform", [0, 6]),

@@ -200,6 +200,25 @@ def test_bad_classical_state_exit_2(tmp_path, capsys, state, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("group, state, message", [
+    # each exited 0 with a verdict: JSON true read as 1, a numeric string read as a weight
+    ({"classical": {"family": "cyclic", "n": 2}}, {"density": [True, True]},
+     "density: expected a number or an [re, im] pair, got True"),
+    ({"classical": {"family": "cyclic", "n": 2}}, {"density": [[1, False], 1]},
+     "density: expected a number or an [re, im] pair, got [1, False]"),
+    ({"classical": {"family": "cyclic", "n": 2}}, {"weights": {"0": "0.5", "1": "5e-1"}},
+     "invalid weights state: weight of '0' is not a number: '0.5'"),
+    ({"dual": {"family": "symmetric", "n": 3}},
+     {"positive_definite": {"rep": "trivial", "xi": [True]}},
+     "xi: expected a number or an [re, im] pair, got True"),
+], ids=["density_true", "density_pair_false", "weights_text", "xi_true"])
+def test_booleans_and_strings_as_numbers_exit_2(tmp_path, capsys, group, state, message):
+    code, out = run_cli(tmp_path, "verdict", {"schema": 1, "group": group, "state": state})
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("rep", ["character:x", "character:", "character:1.5"])
 def test_bad_character_index_exit_2(tmp_path, capsys, rep):
     cfg = {"schema": 1, "group": {"dual": {"family": "cyclic", "n": 4}},

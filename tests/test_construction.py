@@ -1,0 +1,226 @@
+"""Construction-time index arrays and representation checks against the loops they replaced.
+
+``BlockStructure``, ``TensorSplit``, ``unit``, ``random_element`` and
+``representation_defect`` build their arrays by index arithmetic, one
+assignment per size class (or pair of size classes) or one array pass per
+chunk of group elements.  Each reference below is the per-block, per-pair or
+per-element loop it replaced, and the two must agree exactly.
+"""
+
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import qergodic
+from qergodic import groups
+from qergodic.blocks import BlockStructure, TensorSplit, products, random_element
+from qergodic.catalog import function_algebra
+from qergodic.groups import (
+    cyclic_group,
+    representation_defect,
+    s3_standard_integral,
+    symmetric_group,
+)
+
+from conftest import perm_rep_matrices
+
+DIMS = [(1,), (2,), (1, 1, 2), (3, 1, 2, 2, 3), (1,) * 48, (2, 1, 2, 1)]
+
+
+def ref_offsets(dims):
+    offsets = [0]
+    for n in dims:
+        offsets.append(offsets[-1] + n * n)
+    return tuple(offsets)
+
+
+def ref_size_classes(dims):
+    offsets = ref_offsets(dims)
+    classes = []
+    for n in sorted(set(dims)):
+        ids = np.array([i for i, m in enumerate(dims) if m == n])
+        idx = np.array([np.arange(offsets[i], offsets[i] + n * n).reshape(n, n) for i in ids])
+        classes.append((n, ids, idx))
+    return classes
+
+
+def ref_star_perm(dims):
+    offsets = ref_offsets(dims)
+    perm = []
+    for o, n in zip(offsets, dims):
+        perm.extend(o + c * n + r for r in range(n) for c in range(n))
+    return np.array(perm)
+
+
+def ref_unit(dims):
+    return np.concatenate([np.eye(n, dtype=complex).reshape(-1) for n in dims])
+
+
+def ref_tensor_perm(left, right):
+    """The per-pair list: block (ia, ib) of the product, entry by entry."""
+    ka = [np.arange(o, o + n * n).reshape(n, n) for o, n in zip(left.offsets, left.dims)]
+    kb = [np.arange(o, o + n * n).reshape(n, n) for o, n in zip(right.offsets, right.dims)]
+    perm = np.concatenate([
+        (a[:, None, :, None] * right.dim + b[None, :, None, :]).reshape(-1)
+        for a in ka for b in kb
+    ])
+    return perm, np.argsort(perm)
+
+
+def ref_random_element(structure, rng):
+    """Each block's real part, then its imaginary part, block by block."""
+    return np.concatenate([
+        (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))).reshape(-1)
+        for n in structure.dims
+    ])
+
+
+def ref_representation_defect(group, mats, tol):
+    """Element by element: unitarity of M[a], then M[a] M[b] = M[ab] for every b."""
+    mats = np.asarray(mats, dtype=complex)
+    eye = np.eye(mats.shape[1])
+    for a in range(group.order):
+        if np.abs(mats[a] @ mats[a].conj().T - eye).max() > tol:
+            return "unitary", a
+        for b in range(group.order):
+            if np.abs(mats[a] @ mats[b] - mats[group.mul(a, b)]).max() > tol:
+                return "homomorphism", a
+    return None
+
+
+def ref_products(structure, x, y):
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
+    for _, _, idx in structure.size_classes:
+        out[..., idx] = x.take(idx, axis=-1) @ y.take(idx, axis=-1)
+    return out
+
+
+@pytest.mark.parametrize("dims", DIMS, ids=str)
+def test_block_structure_matches_the_loops(dims):
+    st = BlockStructure(dims)
+    assert st.offsets == ref_offsets(dims)
+    assert all(type(o) is int for o in st.offsets) and type(st.dim) is int
+    assert st.dim == ref_offsets(dims)[-1]
+    assert len(st.size_classes) == len(ref_size_classes(dims))
+    for (n, ids, idx), (rn, rids, ridx) in zip(st.size_classes, ref_size_classes(dims)):
+        assert n == rn
+        assert np.array_equal(ids, rids) and np.array_equal(idx, ridx)
+    assert np.array_equal(st.star_perm, ref_star_perm(dims))
+    unit = st.unit().coords()
+    assert unit.dtype == complex and np.array_equal(unit, ref_unit(dims))
+
+
+@pytest.mark.parametrize("left, right", [
+    ((1, 1, 2), (1, 1, 2)),
+    ((3, 1, 2, 2, 3), (3, 1, 2, 2, 3)),
+    ((1,) * 48, (1,) * 48),
+    ((1, 2), (3, 1, 1)),
+    ((2,), (1, 1, 1)),
+    ((3, 1, 2, 2, 3), (1, 2)),
+], ids=str)
+def test_tensor_split_permutation_matches_the_pair_loop(left, right):
+    left, right = BlockStructure(left), BlockStructure(right)
+    split = TensorSplit(left, right)
+    perm, inv_perm = ref_tensor_perm(left, right)
+    assert split.product.dims == tuple(na * nb for na in left.dims for nb in right.dims)
+    assert split.perm.dtype == perm.dtype and np.array_equal(split.perm, perm)
+    assert np.array_equal(split.inv_perm, inv_perm)
+
+
+@pytest.mark.parametrize("dims", DIMS, ids=str)
+def test_random_element_matches_per_block_draws(dims):
+    st = BlockStructure(dims)
+    rng, ref_rng = np.random.default_rng(20), np.random.default_rng(20)
+    assert np.array_equal(random_element(st, rng).coords(), ref_random_element(st, ref_rng))
+    # the generator is left where the block-by-block draws left it
+    assert np.array_equal(rng.standard_normal(5), ref_rng.standard_normal(5))
+
+
+def _s3_cases():
+    s3 = symmetric_group(3)
+    mats = np.array(perm_rep_matrices(s3), dtype=complex)
+    scaled = mats.copy()
+    scaled[4] *= 2  # (123) is not unitary
+    swapped = mats.copy()
+    swapped[[1, 2]] = swapped[[2, 1]]  # unitary, but (12) and (13) trade places
+    both = swapped.copy()
+    both[4] *= 2  # the homomorphism law fails at 1, before unitarity at 4
+    integral = s3_standard_integral(s3)  # a homomorphism, not unitary at (12)
+    return s3, [(mats, None), (scaled, ("homomorphism", 1)), (swapped, ("homomorphism", 1)),
+                (both, ("homomorphism", 1)), (integral, ("unitary", 1))]
+
+
+def _cyclic_cases():
+    c5 = cyclic_group(5)
+    w = np.exp(2j * np.pi / 5)
+    chars = (w ** (2 * np.arange(5))).reshape(5, 1, 1)
+    scaled = chars.copy()
+    scaled[3] *= 1.5
+    broken = chars.copy()
+    broken[2] = w
+    both = broken.copy()
+    both[0] *= 2
+    return c5, [(chars, None), (scaled, ("homomorphism", 1)), (broken, ("homomorphism", 1)),
+                (both, ("unitary", 0))]
+
+
+@pytest.mark.parametrize("batch", [groups._LAW_BATCH, 1, 20])
+@pytest.mark.parametrize("cases", [_s3_cases, _cyclic_cases], ids=["S3", "C5"])
+def test_representation_defect_matches_the_element_loop(monkeypatch, batch, cases):
+    monkeypatch.setattr(groups, "_LAW_BATCH", batch)  # one element per chunk, a few, all
+    group, reps = cases()
+    for mats, expected in reps:
+        assert ref_representation_defect(group, mats, 1e-9) == expected
+        found = representation_defect(group, mats, 1e-9)
+        assert found == expected
+        assert found is None or type(found[1]) is int
+
+
+@pytest.mark.parametrize("structure", [
+    lambda: function_algebra(cyclic_group(8)).split.product,
+    lambda: BlockStructure([2] * 5),
+    lambda: BlockStructure([1, 1, 2]),
+], ids=["F(C8)^2", "2x2", "mixed"])
+def test_products_match_the_scatter(structure):
+    # F(C8)'s product algebra and an all-2x2 structure have one size class
+    st = structure()
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((4, st.dim)) + 1j * rng.standard_normal((4, st.dim))
+    y = rng.standard_normal(st.dim)  # a real row keeps the complex result
+    for a, b in ((x, x[::-1]), (x, y), (y, y), (x[0], x[1])):
+        out = products(st, a, b)
+        assert out.dtype == complex and np.array_equal(out, ref_products(st, a, b))
+    assert not np.shares_memory(products(st, y, y), y)
+
+
+@pytest.mark.parametrize("dims, bad", [([2.7, 1], "2.7"), ([True, 1], "True"),
+                                       ([1, np.True_], "np.True_"), ([1, "2"], "'2'"),
+                                       ([float("nan")], "nan")], ids=str)
+def test_block_structure_refuses_non_integral_dims(dims, bad):
+    # int() truncated them: [2.7, 1] became (2, 1), [True, 1] became (1, 1)
+    with pytest.raises(ValueError, match=f"block dimension {bad} is not an integer"):
+        BlockStructure(dims)
+
+
+def test_block_structure_reads_integral_numbers_as_ints():
+    st = BlockStructure([2.0, np.int64(1)])
+    assert st.dims == (2, 1) and all(type(n) is int for n in st.dims)
+
+
+def test_construction_leaves_numpy_ma_unloaded():
+    # np.unique and the other set routines import numpy.ma on first use, 8 to 19 ms
+    src = os.path.dirname(os.path.dirname(qergodic.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys\n"
+            "from qergodic import catalog, groups\n"
+            "catalog.function_algebra(groups.cyclic_group(48))\n"
+            "catalog.group_algebra(groups.cyclic_group(32))\n"
+            "s3 = groups.symmetric_group(3)\n"
+            "catalog.dual_subgroup_state(catalog.group_algebra(s3), [0, 4, 5])\n"
+            "print('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"

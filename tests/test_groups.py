@@ -155,6 +155,9 @@ def test_subgroups_normality_and_classes_against_brute_force(group):
     assert subgroups(group) == sorted(brute)
     for subset in itertools.combinations(range(group.order), 3):
         assert is_subgroup(group, subset) == (subset in brute)
+        # unsorted, with a repeat
+        assert is_subgroup(group, subset[::-1] + subset[1:2]) == (subset in brute)
+    assert not is_subgroup(group, [])
     normal = [h for h in brute if _brute_force_normal(group, h)]
     assert [h for h in brute if is_normal(group, h)] == normal
     assert normal_subgroups(group) == sorted(normal)
