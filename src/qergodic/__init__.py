@@ -2,7 +2,6 @@
 
 from .blocks import (
     AlgebraElement,
-    AlgebraMap,
     BlockStructure,
     LinearFunctional,
     TensorSplit,

@@ -425,45 +425,16 @@ class LinearFunctional:
         return f"LinearFunctional(dims={self.structure.dims})"
 
 
-class AlgebraMap:
-    """Linear map between block algebras, stored as a coordinate matrix."""
-
-    __slots__ = ("domain", "codomain", "matrix")
-
-    def __init__(self, domain, codomain, matrix):
-        matrix = np.asarray(matrix, dtype=complex)
-        if matrix.shape != (codomain.dim, domain.dim):
-            raise ShapeError(
-                f"expected a {codomain.dim}x{domain.dim} matrix, got {matrix.shape}"
-            )
-        matrix = matrix.copy()
-        matrix.flags.writeable = False
-        self.domain = domain
-        self.codomain = codomain
-        self.matrix = matrix
-
-    @classmethod
-    def identity(cls, structure):
-        return cls(structure, structure, np.eye(structure.dim))
-
-    def __call__(self, element):
-        if element.structure != self.domain:
-            raise ShapeError("element is not in the map's domain")
-        return self.codomain.from_coords(self.matrix @ element.coords())
-
-
 class TensorSplit:
-    """Tensor product A (x) B of two block algebras, with factor bookkeeping.
+    """Tensor product A (x) B of two block algebras, as a block structure of its own.
 
     ``perm`` relates canonical coordinates of the product structure to the
     Kronecker order of the factors: coords(a (x) b) = kron(ca, cb)[perm].
     """
 
-    __slots__ = ("left", "right", "product", "perm", "inv_perm")
+    __slots__ = ("product", "perm")
 
     def __init__(self, left, right):
-        self.left = left
-        self.right = right
         self.product = BlockStructure(
             (np.array(left.dims)[:, None] * np.array(right.dims)).ravel().tolist())
         offsets = np.array(self.product.offsets)
@@ -479,32 +450,10 @@ class TensorSplit:
                 size = (na * nb) ** 2
                 perm[start[..., None] + np.arange(size)] = kron.reshape(start.shape + (size,))
         self.perm = perm
-        self.inv_perm = np.empty_like(perm)
-        self.inv_perm[perm] = np.arange(len(perm))
-
-    def elem(self, a, b):
-        if a.structure != self.left or b.structure != self.right:
-            raise ShapeError("factors do not match the tensor split")
-        return AlgebraElement._own(self.product, np.outer(a.coords(), b.coords()).ravel()[self.perm])
-
-    def functional(self, phi, psi):
-        if phi.structure != self.left or psi.structure != self.right:
-            raise ShapeError("factors do not match the tensor split")
-        return LinearFunctional(self.product, np.outer(phi.coeffs, psi.coeffs).ravel()[self.perm])
-
-    def kron_coords(self, element):
-        """Coordinates of a product-structure element in Kronecker order."""
-        if element.structure != self.product:
-            raise ShapeError("element is not in the product structure")
-        return element.coords()[self.inv_perm]
 
     def from_kron_coords(self, w):
+        """The product-structure element with coordinates ``w`` in Kronecker order."""
         return self.product.from_coords(np.asarray(w, dtype=complex)[self.perm])
-
-    def apply_left(self, phi, element):
-        """(phi (x) id) applied to an element of the product."""
-        w = self.kron_coords(element).reshape(self.left.dim, self.right.dim)
-        return self.right.from_coords(phi.coeffs @ w)
 
 
 def hermitian_part(a):

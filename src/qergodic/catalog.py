@@ -15,7 +15,7 @@ from importlib import resources
 
 import numpy as np
 
-from .blocks import AlgebraMap, BlockStructure, LinearFunctional, TensorSplit, is_positive
+from .blocks import BlockStructure, LinearFunctional, is_positive
 from .groups import (
     FiniteGroup,
     GroupValidationError,
@@ -59,25 +59,22 @@ def function_algebra(group):
     """F(G): one 1x1 block per group element, Hopf maps dual to the group maps."""
     n = group.order
     structure = BlockStructure([1] * n)
-    split = TensorSplit(structure, structure)
     elems = np.arange(n)
     inverse = np.asarray(group.inverse)
     # delta^s |-> sum_t delta^(s t^-1) (x) delta^t: row (s t^-1, t), column s
     dk = np.zeros((n * n, n))
     dk[group.cayley[:, inverse] * n + elems, elems[:, None]] = 1.0
-    comul = AlgebraMap(structure, split.product, dk[split.perm])
     eps = np.zeros(n)
     eps[group.identity] = 1.0
     counit = LinearFunctional(structure, eps)
     smat = np.zeros((n, n))
     smat[inverse, elems] = 1.0
-    antipode = AlgebraMap(structure, structure, smat)
     try:
         irreps = irreps_for(group)
     except GroupValidationError:  # no bundled table for this group
         irreps = None
     return FiniteQuantumGroup(
-        structure, comul, counit, antipode,
+        structure, dk, counit, smat,
         label=f"F({group.label})",
         realization=ClassicalRealization(group, irreps),
     )
@@ -94,19 +91,15 @@ def group_algebra(group, irreps=None):
     structure = BlockStructure(irreps.dims)
     if structure.dim != group.order:
         raise StructuralError("irrep table is incomplete")
-    split = TensorSplit(structure, structure)
     basis = np.concatenate(
         [r.matrices.reshape(group.order, -1) for r in irreps.irreps], axis=1
     ).T
     basis_inv = np.linalg.inv(basis)
     # column g is delta^g (x) delta^g
-    delta_cols = (basis[:, None, :] * basis[None, :, :]).reshape(-1, group.order)[split.perm]
-    comul = AlgebraMap(structure, split.product, delta_cols @ basis_inv)
+    delta_cols = (basis[:, None, :] * basis[None, :, :]).reshape(-1, group.order)
     counit = LinearFunctional(structure, np.linalg.solve(basis.T, np.ones(group.order)))
-    smat = basis[:, group.inverse] @ basis_inv
-    antipode = AlgebraMap(structure, structure, smat)
     return FiniteQuantumGroup(
-        structure, comul, counit, antipode,
+        structure, delta_cols @ basis_inv, counit, basis[:, group.inverse] @ basis_inv,
         label=f"C[{group.label}]",
         realization=DualRealization(group, irreps, basis, basis_inv),
     )
@@ -117,12 +110,8 @@ def chi_subgroup(dual, subgroup_elems):
     real = dual.realization
     if not isinstance(real, DualRealization):
         raise StructuralError("chi_H lives on a group algebra")
-    order = real.group.order
     for h in subgroup_elems:
-        if not isinstance(h, (int, np.integer)):
-            raise ValueError(f"element index {h!r} is not an integer")
-        if not 0 <= h < order:
-            raise ValueError(f"element index {h} is outside 0..{order - 1}")
+        _check_index("element index", h, real.group.order)
     if not is_subgroup(real.group, subgroup_elems):
         raise ValueError("the given subset is not closed under the group law")
     elems = np.sort(np.asarray(subgroup_elems, dtype=int))
@@ -132,6 +121,16 @@ def chi_subgroup(dual, subgroup_elems):
         raise ValueError(f"the subgroup lists element {repeated!r} more than once")
     coords = sum(real.basis[:, h] for h in subgroup_elems) / len(subgroup_elems)
     return dual.structure.from_coords(coords)
+
+
+def _check_index(what, value, count):
+    """Refuse ``value`` by name unless it is an integer in 0..count - 1; a boolean is not."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{what} {value!r} is a boolean, not an integer")
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} {value!r} is not an integer")
+    if not 0 <= value < count:
+        raise ValueError(f"{what} {value} is outside 0..{count - 1}")
 
 
 # -- states -----------------------------------------------------------------------
@@ -253,8 +252,7 @@ def kp_pure_state(kp, block, xi=None):
     for the 2x2 factor supply a unit vector xi and get a |-> <a_5 xi, xi>.
     """
     st = kp.structure
-    if not 0 <= block < len(st.dims):
-        raise ValueError(f"block {block} is outside 0..{len(st.dims) - 1}")
+    _check_index("block", block, len(st.dims))
     n = st.dims[block]
     coeffs = np.zeros(st.dim, dtype=complex)
     if n == 1:
@@ -299,7 +297,6 @@ def kac_paljutkin():
     D = structure.dim
     if len(names) != D:
         raise StructuralError("basis names do not match the block dimensions")
-    split = TensorSplit(structure, structure)
     dk = np.zeros((D * D, D), dtype=complex)
     eps = np.zeros(D, dtype=complex)
     smat = np.zeros((D, D), dtype=complex)
@@ -311,7 +308,5 @@ def kac_paljutkin():
         eps[f] = _complex(entry["counit"])
         for k, pair in enumerate(entry["antipode"]):
             smat[k, f] = _complex(pair)
-    comul = AlgebraMap(structure, split.product, dk[split.perm])
-    counit = LinearFunctional(structure, eps)
-    antipode = AlgebraMap(structure, structure, smat)
-    return FiniteQuantumGroup(structure, comul, counit, antipode, label="Kac-Paljutkin")
+    return FiniteQuantumGroup(structure, dk, LinearFunctional(structure, eps), smat,
+                              label="Kac-Paljutkin")

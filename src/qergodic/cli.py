@@ -489,7 +489,7 @@ def cmd_experiment(qgroup, state, args):
         shifted = P[(np.arange(d)[:, None] - np.arange(d)) % d]
         outer = (shifted[:, :, :, None] * P[None, :, None, :]).reshape(d, d, -1)
         target = outer[..., qgroup.split.perm].cumsum(axis=1)[:, -1, :]
-        deltas = P @ qgroup.comul.matrix.T
+        deltas = P @ qgroup.comul_kron[qgroup.split.perm].T
         worst = float(blocks.norms_inf(qgroup.split.product, deltas - target).max())
         payload["cyclic_comultiplication"] = {
             "period": d,

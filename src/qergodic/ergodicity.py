@@ -230,8 +230,6 @@ def _cyclic_partition(nu, T, d):
         raise ClassificationError("nu is not concentrated on p_1")
     if norms_inf(st, Td @ P[1] - P[1]) > PROJECTION_EQ_TOL:
         raise ClassificationError("T^d does not fix p_1")
-    if not group.is_group_like_projection(p0):
-        raise ClassificationError("p_0 is not group-like")
     return CyclicPartition(d, [p0] + [st.from_coords(p) for p in P[1:]])
 
 

@@ -3,8 +3,10 @@
 A :class:`FiniteQuantumGroup` bundles a block structure with its
 comultiplication, counit and antipode, and computes the Haar state (by a
 linear solve, never from a closed form) and the Haar element at construction
-time.  Axiom verification, group-like projection machinery and the
-convolution product on the algebra live here as well.
+time.  The comultiplication is stored once, as a (D^2, D) matrix in the
+Kronecker order of the two factors, and the antipode as a (D, D) matrix.
+Axiom verification, group-like projection machinery and the convolution
+product on the algebra live here as well.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .blocks import (
     LinearFunctional,
     TensorSplit,
     is_projection,
+    norms_inf,
     products,
 )
 from .groups import FiniteGroup, GroupValidationError, subgroups
@@ -67,9 +70,13 @@ class HopfAxiomReport:
 class FiniteQuantumGroup:
     """Block structure plus comultiplication, counit, antipode; Haar data cached.
 
-    Immutable after construction.  ``realization`` optionally records how the
-    entry was built (classical function algebra, group algebra, ...) so that
-    criteria needing that extra data can find it.
+    ``comul`` is the (D^2, D) matrix whose row s D + t, column f holds the
+    coefficient of e_s (x) e_t in Delta(e_f), kept as ``comul_kron``;
+    ``antipode`` is the (D, D) matrix of S and ``counit`` a
+    :class:`LinearFunctional`.  Immutable after construction.
+    ``realization`` optionally records how the entry was built (classical
+    function algebra, group algebra, ...) so that criteria needing that extra
+    data can find it.
     """
 
     def __init__(self, structure, comul, counit, antipode, label="",
@@ -78,20 +85,15 @@ class FiniteQuantumGroup:
             structure = BlockStructure(structure)
         self.structure = structure
         self.split = TensorSplit(structure, structure)
-        if comul.domain != structure or comul.codomain != self.split.product:
-            raise StructuralError("comultiplication shape does not match the algebra")
+        D = structure.dim
+        self.comul_kron = _structure_matrix("comultiplication", comul, (D * D, D))
         if counit.structure != structure:
             raise StructuralError("counit shape does not match the algebra")
-        if antipode.domain != structure or antipode.codomain != structure:
-            raise StructuralError("antipode shape does not match the algebra")
-        self.comul = comul
         self.counit = counit
-        self.antipode = antipode
+        self.antipode = _structure_matrix("antipode", antipode, (D, D))
         self.label = label or f"quantum group on {structure.dims}"
         self.realization = realization
         self.unit = structure.unit()
-        # comultiplication with output rows in Kronecker order
-        self.comul_kron = comul.matrix[self.split.inv_perm]
         self._haar_data = None
         self._haar_element = None
         if validate:
@@ -128,10 +130,6 @@ class FiniteQuantumGroup:
     @property
     def dim(self):
         return self.structure.dim
-
-    def delta(self, a):
-        """Comultiplication, landing in the product structure."""
-        return self.comul(a)
 
     def delta_kron(self, a):
         """Comultiplication of ``a`` as a (D, D) array in Kronecker order."""
@@ -179,7 +177,7 @@ class FiniteQuantumGroup:
         # right invariance and antipode invariance are theorems; treat failures as structural
         if np.abs(dk3.transpose(2, 0, 1) @ coeffs - np.outer(coeffs, unit)).max() > STRUCTURE_TOL:
             raise StructuralError("Haar state is not right invariant")
-        if np.abs(self.antipode.matrix.T @ coeffs - coeffs).max() > STRUCTURE_TOL:
+        if np.abs(self.antipode.T @ coeffs - coeffs).max() > STRUCTURE_TOL:
             raise StructuralError("Haar state is not antipode invariant")
         return haar, tuple(weights.tolist()), coord_weights
 
@@ -230,10 +228,10 @@ class FiniteQuantumGroup:
         D = self.dim
         st = self.structure
         dk = self.comul_kron
-        cm = self.comul.matrix
+        cm = dk[self.split.perm]  # rows in the product structure's coordinates
         W = dk.T.reshape(D, D, D)  # [f, s, t]
         ceps = self.counit.coeffs
-        smat = self.antipode.matrix
+        smat = self.antipode
         eye = np.eye(D)
         star = st.star_perm
         target = np.outer(ceps, self.unit.coords())  # eps(f) 1
@@ -333,7 +331,8 @@ class FiniteQuantumGroup:
         # consequences of group-likeness; numeric failure here is a bug
         if abs(self.counit(p) - 1.0) > IMPLIED_IDENTITY_TOL:
             raise StructuralError("group-like projection with counit value != 1")
-        if (self.antipode(p) - p).norm_inf() > IMPLIED_IDENTITY_TOL:
+        moved = norms_inf(self.structure, self.antipode @ p.coords() - p.coords())
+        if moved > IMPLIED_IDENTITY_TOL:
             raise StructuralError("group-like projection not fixed by the antipode")
         return True
 
@@ -397,16 +396,27 @@ class FiniteQuantumGroup:
     # -- convolution on the algebra ----------------------------------------------
 
     def box_convolve(self, f, g):
-        """Convolution product on the algebra: (haar (x) id)(((S (x) id) Delta(g)) (f (x) 1))."""
-        W = self.delta_kron(g)
-        sw = self.antipode.matrix @ W
-        lhs = self.split.from_kron_coords(sw.reshape(-1))
-        prod = lhs * self.split.elem(f, self.unit)
-        return self.split.apply_left(self.haar, prod)
+        """Convolution product on the algebra: (haar (x) id)(((S (x) id) Delta(g)) (f (x) 1)).
+
+        Column t of S W, for W = Delta(g) in Kronecker order, is the first
+        factor paired with e_t; each is multiplied by f and then weighed by
+        the Haar state.
+        """
+        sw = self.antipode @ self.delta_kron(g)
+        return self.structure.from_coords(
+            self.haar.values(products(self.structure, sw.T, f.coords())))
 
     def __repr__(self):
         return f"FiniteQuantumGroup({self.label!r}, dims={self.structure.dims})"
 
+
+def _structure_matrix(name, matrix, shape):
+    """A read-only, C-contiguous complex copy of ``matrix``; a wrong shape is refused by name."""
+    matrix = np.array(matrix, dtype=complex, order="C")
+    if matrix.shape != shape:
+        raise StructuralError(f"{name} has shape {matrix.shape}, expected {shape}")
+    matrix.flags.writeable = False
+    return matrix
 
 
 def _moment_vectors(null, K):

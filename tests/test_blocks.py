@@ -3,7 +3,6 @@ import pytest
 
 from qergodic import blocks
 from qergodic.blocks import (
-    AlgebraMap,
     BlockStructure,
     DomainError,
     LinearFunctional,
@@ -212,16 +211,21 @@ def test_tensor_structure_dims():
     assert split2.product.dims == (2, 1, 2, 1)
 
 
+def tensor(split, x, y):
+    """x (x) y as an element of the split's product structure."""
+    return split.from_kron_coords(np.outer(x.coords(), y.coords()).ravel())
+
+
 def test_tensor_unit_and_star():
     a = BlockStructure([1, 2])
     b = BlockStructure([2])
     split = TensorSplit(a, b)
-    assert (split.elem(a.unit(), b.unit()) - split.product.unit()).norm_inf() < 1e-14
+    assert (tensor(split, a.unit(), b.unit()) - split.product.unit()).norm_inf() < 1e-14
     for _ in range(5):
         x = random_element(a, RNG)
         y = random_element(b, RNG)
-        lhs = split.elem(x, y).adjoint()
-        rhs = split.elem(x.adjoint(), y.adjoint())
+        lhs = tensor(split, x, y).adjoint()
+        rhs = tensor(split, x.adjoint(), y.adjoint())
         assert (lhs - rhs).norm_inf() < 1e-12
 
 
@@ -231,42 +235,21 @@ def test_tensor_functional_product_rule():
     split = TensorSplit(a, b)
     phi = LinearFunctional(a, RNG.standard_normal(a.dim) + 1j * RNG.standard_normal(a.dim))
     psi = LinearFunctional(b, RNG.standard_normal(b.dim) + 1j * RNG.standard_normal(b.dim))
-    both = split.functional(phi, psi)
+    coeffs = split.from_kron_coords(np.outer(phi.coeffs, psi.coeffs).ravel()).coords()
+    both = LinearFunctional(split.product, coeffs)
     for _ in range(10):
         x = random_element(a, RNG)
         y = random_element(b, RNG)
-        assert abs(both(split.elem(x, y)) - phi(x) * psi(y)) < 1e-10
+        assert abs(both(tensor(split, x, y)) - phi(x) * psi(y)) < 1e-10
 
 
 def test_tensor_product_multiplication_is_blockwise():
     a = BlockStructure([2, 1])
     split = TensorSplit(a, a)
     x1, x2, y1, y2 = (random_element(a, RNG) for _ in range(4))
-    lhs = split.elem(x1, y1) * split.elem(x2, y2)
-    rhs = split.elem(x1 * x2, y1 * y2)
+    lhs = tensor(split, x1, y1) * tensor(split, x2, y2)
+    rhs = tensor(split, x1 * x2, y1 * y2)
     assert (lhs - rhs).norm_inf() < 1e-12
-
-
-def test_apply_map_identity_and_transpose():
-    st = BlockStructure([1, 2])
-    ident = AlgebraMap.identity(st)
-    m = AlgebraMap(st, st, RNG.standard_normal((st.dim, st.dim)))
-    for _ in range(20):
-        x = random_element(st, RNG)
-        assert (ident(x) - x).norm_inf() < 1e-14
-    phi = LinearFunctional(st, RNG.standard_normal(st.dim))
-    pulled = LinearFunctional(st, m.matrix.T @ phi.coeffs)
-    for _ in range(10):
-        x = random_element(st, RNG)
-        assert abs(pulled(x) - phi(m(x))) < 1e-10
-
-
-def test_map_shape_errors():
-    st = BlockStructure([1, 2])
-    other = BlockStructure([2, 1])
-    m = AlgebraMap.identity(st)
-    with pytest.raises(ShapeError):
-        m(random_element(other, RNG))
 
 
 def test_positive_cone_properties():

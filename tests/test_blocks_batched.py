@@ -160,7 +160,8 @@ def test_product_adjoint_and_tensor_match_per_block(dims, other_dims, seed):
     c = random_element(right, rng)
     split = TensorSplit(structure, right)
     pairs = [np.kron(x, y) for x in blocks_of(a) for y in blocks_of(c)]
-    assert close(split.elem(a, c).coords(), split.product.element(pairs).coords())
+    tensor = split.from_kron_coords(np.outer(a.coords(), c.coords()).ravel())
+    assert close(tensor.coords(), split.product.element(pairs).coords())
 
 
 def test_distance_trace_of_a_formal_functional_matches_per_block(twodim_state):

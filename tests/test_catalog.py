@@ -49,14 +49,14 @@ def test_function_algebra_comultiplication_against_loop(n):
         for t in range(group.order):
             expected[group.mul(s, group.inv(t)), t] = 1.0  # delta^(s t^-1) (x) delta^t
         assert np.array_equal(fg.delta_kron(fg.structure.basis_element(s)), expected)
-        antipode = fg.antipode(fg.structure.basis_element(s)).coords()
+        antipode = fg.antipode @ fg.structure.basis_element(s).coords()
         assert np.array_equal(antipode, np.eye(group.order)[group.inv(s)])
 
 
 def test_function_algebra_antipode_and_counit(f_s3, s3):
     for g in range(6):
         d = f_s3.structure.basis_element(g)
-        assert (f_s3.antipode(d) - f_s3.structure.basis_element(s3.inv(g))).norm_inf() == 0
+        assert np.array_equal(f_s3.antipode @ d.coords(), np.eye(6)[s3.inv(g)])
         assert f_s3.counit(d) == (1.0 if g == s3.identity else 0.0)
 
 
@@ -83,7 +83,8 @@ def test_group_algebra_comultiplication_is_diagonal(dual_s3):
     split = dual_s3.split
     for g in range(6):
         d = dual_s3.structure.from_coords(real.basis[:, g])
-        assert (dual_s3.delta(d) - split.elem(d, d)).norm_inf() < 1e-12
+        defect = dual_s3.delta_kron(d) - np.outer(d.coords(), d.coords())
+        assert split.from_kron_coords(defect.ravel()).norm_inf() < 1e-12
 
 
 def test_group_algebra_requires_complete_irreps(s3):
@@ -119,6 +120,10 @@ def test_chi_rejects_non_subgroup(dual_s3, s3):
     ([0, -3], "element index -3 is outside 0..5"),  # -3 wrapped to 3, giving chi of {e, (23)}
     ([0, 99], "element index 99 is outside 0..5"),
     ([0, 1.0], "element index 1.0 is not an integer"),
+    # numpy read a boolean as a mask: [0, True] and [False] ended in a ShapeError
+    ([0, True], "element index True is a boolean, not an integer"),
+    ([False], "element index False is a boolean, not an integer"),
+    ([0, np.True_], "element index np.True_ is a boolean, not an integer"),
 ])
 def test_chi_refuses_an_element_index_outside_the_group(dual_s3, elems, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -341,6 +346,18 @@ def test_kp_pure_state_refuses_a_block_outside_the_algebra(kp, block):
     # -2 gave the pure state on E11 of the 2x2 block; -1 and 5 raised an IndexError
     with pytest.raises(ValueError, match=rf"^block {block} is outside 0\.\.4$"):
         kp_pure_state(kp, block, bloch_vector(0.8, 1.1))
+
+
+@pytest.mark.parametrize("block, message", [
+    # True was taken as block 1, labelled "pure block True"; 1.0 raised a raw TypeError
+    (True, "block True is a boolean, not an integer"),
+    (np.False_, "block np.False_ is a boolean, not an integer"),
+    (1.0, "block 1.0 is not an integer"),
+    ("4", "block '4' is not an integer"),
+])
+def test_kp_pure_state_refuses_a_block_that_is_not_an_integer(kp, block, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        kp_pure_state(kp, block)
 
 
 def test_dual_subgroup_state_density(dual_s3, s3):

@@ -467,6 +467,26 @@ def test_experiment_bytes_match_the_recorded_reference(tmp_path, case):
     assert (out / "experiment.json").read_bytes() == case["output"].encode()
 
 
+def _describe_cases():
+    path = os.path.join(os.path.dirname(__file__), "data", "describe_reference.json")
+    with open(path) as fh:
+        return json.load(fh)["cases"]
+
+
+@pytest.mark.parametrize("case", _describe_cases(), ids=lambda case: case["name"])
+def test_describe_bytes_match_the_recorded_reference(tmp_path, case):
+    # the Hopf residuals, Haar block weights and Haar element, recorded while the
+    # comultiplication was still stored in two orders
+    config = case["config"]
+    if "cayley_table" in case:
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps(case["cayley_table"]))
+        config = {**config, "group": {"classical": {"cayley_file": str(table)}}}
+    code, out = run_cli(tmp_path, "describe", config)
+    assert code == 0
+    assert (out / "describe.json").read_bytes() == case["output"].encode()
+
+
 def test_experiment_probe_runs_as_stacks(tmp_path, monkeypatch):
     # one eigh per trial for the cluster count of h, a few over stacks, and those of
     # classify; the probe element by element made 220

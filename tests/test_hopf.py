@@ -10,7 +10,6 @@ import pytest
 import qergodic
 
 from qergodic.blocks import (
-    AlgebraMap,
     BlockStructure,
     DomainError,
     LinearFunctional,
@@ -19,7 +18,7 @@ from qergodic.blocks import (
     random_element,
     random_positive,
 )
-from qergodic.catalog import chi_subgroup, function_algebra, group_algebra
+from qergodic.catalog import chi_subgroup, function_algebra, group_algebra, kac_paljutkin
 from qergodic.groups import (
     Irrep,
     IrrepTable,
@@ -50,11 +49,11 @@ def test_catalog_axioms(f_s3, dual_s3, kp):
 
 
 def test_corrupted_comultiplication_is_detected(f_c4):
-    matrix = f_c4.comul.matrix.copy()
+    matrix = f_c4.comul_kron.copy()
     matrix[3, 2] += 1e-3
     broken = FiniteQuantumGroup(
         f_c4.structure,
-        AlgebraMap(f_c4.structure, f_c4.split.product, matrix),
+        matrix,
         f_c4.counit,
         f_c4.antipode,
         validate=False,
@@ -68,15 +67,15 @@ def broken_kp(kp, comul=None, counit=None, antipode=None):
     st = kp.structure
     return FiniteQuantumGroup(
         st,
-        kp.comul if comul is None else AlgebraMap(st, kp.split.product, comul),
+        kp.comul_kron if comul is None else comul,
         kp.counit if counit is None else LinearFunctional(st, counit),
-        kp.antipode if antipode is None else AlgebraMap(st, st, antipode),
+        kp.antipode if antipode is None else antipode,
         validate=False,
     )
 
 
 def test_each_broken_identity_is_detected(kp):
-    antipode = kp.antipode.matrix.copy()
+    antipode = kp.antipode.copy()
     antipode[5, 6] += 1e-3
     counit = kp.counit.coeffs.copy()
     counit[1] += 1e-3
@@ -86,10 +85,10 @@ def test_each_broken_identity_is_detected(kp):
          {"antipode_left", "antipode_right", "antipode_involutive"}),
         (broken_kp(kp, counit=counit), laws),
         # a phase keeps Delta coassociative but not a *-map (nor multiplicative)
-        (broken_kp(kp, comul=np.exp(1e-3j) * kp.comul.matrix),
+        (broken_kp(kp, comul=np.exp(1e-3j) * kp.comul_kron),
          laws | {"comul_star", "comul_multiplicative"}),
         # a real scale keeps Delta a coassociative *-map, not a multiplicative one
-        (broken_kp(kp, comul=1.001 * kp.comul.matrix), laws | {"comul_multiplicative"}),
+        (broken_kp(kp, comul=1.001 * kp.comul_kron), laws | {"comul_multiplicative"}),
     ]
     for broken, raised in cases:
         residuals = broken.verify_axioms().residuals
@@ -106,7 +105,7 @@ def axioms_by_pairs(qg):
         mult[idx[:, :, :, None], idx[:, None, :, :], idx[:, :, None, :]] = 1.0
     dk = qg.comul_kron
     ceps = qg.counit.coeffs
-    smat = qg.antipode.matrix
+    smat = qg.antipode
     unit = qg.unit.coords()
     star = st.star_perm
     sq = dict.fromkeys(("coassociativity", "counit_left", "counit_right", "antipode_left",
@@ -123,7 +122,7 @@ def axioms_by_pairs(qg):
             np.einsum("st,stk->k", W @ smat.T, mult) - target) ** 2
         sq["comul_star"] += np.linalg.norm(
             dk[:, star[f]] - W.conj()[np.ix_(star, star)].reshape(-1)) ** 2
-    cm = qg.comul.matrix
+    cm = dk[qg.split.perm]  # rows in the product structure's coordinates
     cols = [qg.split.product.from_coords(cm[:, f]) for f in range(D)]
     for s, t in itertools.product(range(D), repeat=2):
         sq["comul_multiplicative"] += np.linalg.norm(
@@ -173,7 +172,7 @@ def test_haar_kp_weights_positive_and_invariant(kp):
 
 def test_haar_antipode_invariance(f_s3, dual_s3, kp):
     for entry in (f_s3, dual_s3, kp):
-        pulled = entry.antipode.matrix.T @ entry.haar.coeffs
+        pulled = entry.antipode.T @ entry.haar.coeffs
         assert np.abs(pulled - entry.haar.coeffs).max() < 1e-10
 
 
@@ -201,11 +200,10 @@ def test_counit_is_multiplicative(f_s3, dual_s3, kp):
 
 def test_counit_composed_with_comul(dual_s3):
     # (eps (x) eps) Delta(f) = eps(f)
-    split = dual_s3.split
-    both = split.functional(dual_s3.counit, dual_s3.counit)
+    ceps = dual_s3.counit.coeffs
     for _ in range(10):
         f = random_element(dual_s3.structure, RNG)
-        assert abs(both(dual_s3.delta(f)) - dual_s3.counit(f)) < 1e-10
+        assert abs(ceps @ dual_s3.delta_kron(f) @ ceps - dual_s3.counit(f)) < 1e-10
 
 
 def _is_cocommutative(entry):
@@ -375,11 +373,9 @@ def test_character_group_rejects_broken_comultiplication(f_c4):
     perturbed = f_c4.comul_kron.copy()
     perturbed[1 * D + 2, 0] += 1e-3
     for kron in (swapped, perturbed):
-        matrix = np.empty_like(kron)
-        matrix[f_c4.split.inv_perm] = kron
         broken = FiniteQuantumGroup(
             f_c4.structure,
-            AlgebraMap(f_c4.structure, f_c4.split.product, matrix),
+            kron,
             f_c4.counit,
             f_c4.antipode,
             validate=False,
@@ -498,7 +494,8 @@ def test_group_like_consequences(dual_s3, s3):
     for H in subgroups(s3):
         chi = chi_subgroup(dual_s3, H)
         assert abs(dual_s3.counit(chi) - 1.0) < 1e-10
-        assert (dual_s3.antipode(chi) - chi).norm_inf() < 1e-10
+        moved = dual_s3.structure.from_coords(dual_s3.antipode @ chi.coords()) - chi
+        assert moved.norm_inf() < 1e-10
         assert dual_s3.haar(chi).real > 0
 
 
@@ -536,14 +533,53 @@ def test_box_convolve_young_inequality(f_s3, dual_s3, kp):
 
 
 def test_haar_solver_rejects_broken_structure(f_c4):
-    matrix = f_c4.comul.matrix.copy()
+    matrix = f_c4.comul_kron.copy()
     matrix[3, 2] += 1e-3
     broken = FiniteQuantumGroup(
         f_c4.structure,
-        AlgebraMap(f_c4.structure, f_c4.split.product, matrix),
+        matrix,
         f_c4.counit,
         f_c4.antipode,
         validate=False,
     )
     with pytest.raises(StructuralError):
         broken.haar
+
+
+def test_structure_maps_of_the_wrong_shape_are_refused_by_name(kp):
+    with pytest.raises(StructuralError,
+                       match=r"^comultiplication has shape \(8, 64\), expected \(64, 8\)$"):
+        FiniteQuantumGroup(kp.structure, kp.comul_kron.T, kp.counit, kp.antipode)
+    with pytest.raises(StructuralError, match=r"^antipode has shape \(4, 8\), expected \(8, 8\)$"):
+        FiniteQuantumGroup(kp.structure, kp.comul_kron, kp.counit, kp.antipode[:4])
+
+
+def test_structure_maps_are_read_only_copies(kp):
+    comul, antipode = kp.comul_kron.copy(), kp.antipode.copy()
+    qg = FiniteQuantumGroup(kp.structure, comul, kp.counit, antipode)
+    comul[:] = antipode[:] = 0
+    for held, want in ((qg.comul_kron, kp.comul_kron), (qg.antipode, kp.antipode)):
+        assert not held.flags.writeable and held.flags.c_contiguous
+        assert held.dtype == complex and np.array_equal(held, want)
+
+
+def _held(obj):
+    """The attributes of ``obj``, or the items of a tuple or list."""
+    if isinstance(obj, (tuple, list)):
+        return list(obj)
+    names = list(getattr(obj, "__dict__", ()))
+    names += [n for cls in type(obj).__mro__ for n in getattr(cls, "__slots__", ())]
+    return [getattr(obj, n) for n in names if hasattr(obj, n)]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: function_algebra(cyclic_group(32)),
+    lambda: group_algebra(cyclic_group(16)),
+    kac_paljutkin,
+], ids=["F(C32)", "C[C16]", "KP"])
+def test_an_entry_holds_its_comultiplication_once(build):
+    # the arrays of at least D^3 entries held by the entry or one level down: Delta alone
+    qg = build()
+    held = [a for top in _held(qg) for a in [top] + _held(top)]
+    big = {id(a) for a in held if isinstance(a, np.ndarray) and a.size >= qg.dim ** 3}
+    assert big == {id(qg.comul_kron)}

@@ -234,7 +234,7 @@ def test_T_properties_i_to_viii(f_s3, dual_s3, kp):
         pulled = T.matrix.T @ entry.haar.coeffs
         assert np.abs(pulled - entry.haar.coeffs).max() < 1e-10
         # vii. T(g) = S(f_nu) (*) g
-        sf = entry.antipode(nu.density)
+        sf = entry.structure.from_coords(entry.antipode @ nu.density.coords())
         for _ in range(5):
             g = random_element(entry.structure, RNG)
             assert (T(g) - entry.box_convolve(sf, g)).norm_inf() < 1e-10
