@@ -37,13 +37,13 @@ from .ergodicity import (
 from .groups import FiniteGroup, IrrepTable, build_group, normal_subgroups, subgroups
 from .hopf import FiniteQuantumGroup, HopfAxiomReport
 from .walks import (
-    StochasticOperator,
     WalkState,
     cesaro_limit,
     convolution_power,
     convolve,
     counit_state,
     distances_to_random,
+    eigenvalues,
     haar_state,
     random_state,
     spectrum_peripheral,

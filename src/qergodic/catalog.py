@@ -26,7 +26,7 @@ from .groups import (
 )
 from .hopf import FiniteQuantumGroup, StructuralError
 from .tolerances import INPUT_NORM_TOL, POSITIVITY_TOL, USER_REP_TOL, WEIGHT_SIGN_TOL
-from .walks import WalkState
+from .walks import WalkState, _require_integer
 
 
 @dataclass
@@ -125,10 +125,7 @@ def chi_subgroup(dual, subgroup_elems):
 
 def _check_index(what, value, count):
     """Refuse ``value`` by name unless it is an integer in 0..count - 1; a boolean is not."""
-    if isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"{what} {value!r} is a boolean, not an integer")
-    if not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{what} {value!r} is not an integer")
+    _require_integer(what, value)
     if not 0 <= value < count:
         raise ValueError(f"{what} {value} is outside 0..{count - 1}")
 

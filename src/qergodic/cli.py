@@ -373,8 +373,7 @@ def cmd_verdict(qgroup, state, args):
 
 
 def cmd_spectrum(qgroup, state, args):
-    T = walks.stochastic_operator(state)
-    ev = T.eigenvalues
+    ev = walks.eigenvalues(walks.stochastic_operator(state))
     cluster_tol = args.tol if args.tol is not None else CLUSTER_TOL
     clusters = []
     for z in ev:
@@ -509,15 +508,9 @@ def cmd_experiment(qgroup, state, args):
 
     chain = []
     if state.checked:
-        T = walks.stochastic_operator(state)
-        coeffs = state.functional.coeffs
-        acc = coeffs.copy()
-        averages = np.empty((CHAIN_LENGTH, qgroup.dim), dtype=complex)
-        for n in range(1, CHAIN_LENGTH + 1):
-            if n > 1:
-                coeffs = T.matrix.T @ coeffs
-                acc = acc + coeffs
-            averages[n - 1] = acc / n
+        powers = walks._orbit(walks.stochastic_operator(state).T, state.functional.coeffs,
+                              CHAIN_LENGTH)
+        averages = powers.cumsum(axis=0) / np.arange(1, CHAIN_LENGTH + 1)[:, None]
         supports = walks.support_projections(
             qgroup, walks.densities_from_functionals(qgroup, averages), averages)
         chain = [{"n": n, "haar_mass": _fmt(mass.real)}
@@ -552,8 +545,8 @@ def main(argv=None):
 
     try:
         config = parse_config(args.config)
-        if args.kmax is None:
-            args.kmax = config.get("kmax", 50)
+        if args.kmax is None:  # JSON Schema counts 3.0 as an integer; the trace wants an int
+            args.kmax = int(config.get("kmax", 50))
         elif args.kmax < 1:  # the schema's bound on the config's kmax
             raise ConfigError(f"--kmax: {args.kmax} is less than the minimum of 1")
         if args.tol is None:

@@ -52,9 +52,12 @@ from .walks import (
     WalkState,
     _cesaro_limit,
     _null_space,
+    _orbit,
+    _require_integer,
     _tv_to_haar,
     cesaro_limit,
     convolve,
+    eigenvalues,
     settled_power,
     spectrum_peripheral,
     stochastic_operator,
@@ -125,14 +128,15 @@ def _fixed_point_projections(group, T):
     space is more than the scalars a generic one (a fixed-seed complex
     combination of a basis, Hermitianized) has at least two of them.
     """
-    kernel = _null_space(T.matrix - np.eye(group.dim))
+    kernel = _null_space(T - np.eye(group.dim))
     if kernel.shape[1] <= 1:
         return []
     rng = np.random.default_rng(7)
     mix = rng.standard_normal(kernel.shape[1]) + 1j * rng.standard_normal(kernel.shape[1])
     h = hermitian_part(group.structure.from_coords(kernel @ mix))
     found = [p for _, p in spectral_decomposition(h)]
-    if len(found) < 2 or any((T.apply(p) - p).norm_inf() > KERNEL_TOL for p in found):
+    if len(found) < 2 or any((p.structure.from_coords(T @ p.coords()) - p).norm_inf() > KERNEL_TOL
+                             for p in found):
         raise ClassificationError(
             "fixed-point space has dimension > 1 but a generic fixed point gives no "
             "nontrivial T-fixed projections"
@@ -167,16 +171,13 @@ def is_irreducible(nu):
     """
     group = nu.group
     T = stochastic_operator(nu)
-    _, support = _cesaro_limit(group, T.matrix)
+    _, support = _cesaro_limit(group, T)
     route_a = bool((support - group.unit).norm_inf() <= PROJECTION_EQ_TOL)
 
     fixed = _fixed_point_projections(group, T)
     route_b = len(fixed) == 0
 
-    k0 = sum(group.structure.dims)
-    masses = [nu.functional.coeffs]
-    for _ in range(k0 - 1):
-        masses.append(T.matrix.T @ masses[-1])
+    masses = _orbit(T.T, nu.functional.coeffs, sum(group.structure.dims))
     reach = np.vecdot(np.conj(masses)[:, None], _reachability_projections(group)).real
     route_c = bool((reach > REACH_MASS_FLOOR).any(0).all())
 
@@ -197,9 +198,10 @@ def cyclic_partition(nu, d):
     The defining invariants, T^d(p_1) = p_1 among them, are checked on the
     (d, D) stack of the projections before returning.
     """
+    _require_integer("d", d)
     if d < 2:
         raise ValueError("cyclic partitions need d >= 2")
-    return _cyclic_partition(nu, stochastic_operator(nu).matrix, d)
+    return _cyclic_partition(nu, stochastic_operator(nu), d)
 
 
 def _cyclic_partition(nu, T, d):
@@ -244,10 +246,10 @@ def classify(nu):
     """
     group = nu.group
     T = stochastic_operator(nu)
-    _, support = _cesaro_limit(group, T.matrix)
+    _, support = _cesaro_limit(group, T)
     evals, peripheral = spectrum_peripheral(T)
     ks = (1, 2, 4, 8)
-    tv_samples = list(zip(ks, _tv_to_haar(nu, T.matrix, ks)))
+    tv_samples = list(zip(ks, _tv_to_haar(nu, T, ks)))
 
     if (support - group.unit).norm_inf() > PROJECTION_EQ_TOL:
         if abs(nu.expect(support) - 1.0) > PROJECTION_EQ_TOL:
@@ -263,7 +265,7 @@ def classify(nu):
             k_star = 1
         else:
             k_star = min(int(np.ceil(np.log(GAP_DECAY_TARGET) / np.log(gap_lambda))) + 1, 2 ** 50)
-        [tv_far] = _tv_to_haar(nu, T.matrix, (k_star,))
+        [tv_far] = _tv_to_haar(nu, T, (k_star,))
         if tv_far > ERGODIC_TV_TOL:
             raise ClassificationError(
                 f"spectral gap promises convergence but TV at k={k_star} is {tv_far:.2e}"
@@ -274,7 +276,7 @@ def classify(nu):
         )
 
     return ErgodicityVerdict(
-        "periodic", partition=_cyclic_partition(nu, T.matrix, len(peripheral)),
+        "periodic", partition=_cyclic_partition(nu, T, len(peripheral)),
         peripheral=peripheral, spectrum=evals, cesaro_support=support, tv_samples=tv_samples,
     )
 
@@ -303,12 +305,12 @@ def zhang_criterion(nu):
     group = nu.group
     nu_eta = float(nu.expect(group.haar_element).real)
     T = stochastic_operator(nu)
-    evals = T.eigenvalues
+    evals = eigenvalues(T)
     ball_ok = bool(np.all(np.abs(evals - nu_eta) <= 1 - nu_eta + ZHANG_BALL_TOL))
     report = ZhangReport(nu_eta=nu_eta, applies=nu_eta > ZHANG_MASS_FLOOR, spectral_ball_ok=ball_ok)
     if not report.applies:
         return report
-    P = settled_power(T.matrix)
+    P = settled_power(T)
     report.converges = True
     report.limit = WalkState.from_functional_coeffs(group, P.T @ group.counit.coeffs,
                                                     check=nu.checked)

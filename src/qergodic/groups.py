@@ -233,22 +233,32 @@ def representation_defect(group, matrices, tol):
 
     Elements are taken in index order, unitarity of M[g] before the
     homomorphism law M[g] M[h] = M[gh] over all h: returns ("unitary", g) or
-    ("homomorphism", g), or None for a unitary representation.  The law is
-    checked for all g below the first non-unitary element at once, in chunks
-    of g of at most ``_LAW_BATCH`` matrix entries.
+    ("homomorphism", g), or None for a unitary representation.  An (R, order,
+    d, d) stack of R representations gets the list of their R results from
+    one pass.  The law is checked for all g below each representation's first
+    non-unitary element at once, in chunks of g of at most ``_LAW_BATCH``
+    matrix entries over the stack (one g when that alone is more, which for
+    the irreps of one dimension of a table is at most order^2 entries).
     """
     mats = np.asarray(matrices, dtype=complex)
-    unitary_err = np.abs(mats @ mats.conj().transpose(0, 2, 1) - np.eye(mats.shape[1]))
-    not_unitary = np.flatnonzero(unitary_err.max(axis=(1, 2)) > tol)
-    first = not_unitary[0] if len(not_unitary) else group.order
-    chunk = max(1, _LAW_BATCH // mats[0].size // group.order)
-    for start in range(0, first, chunk):
-        a = np.arange(start, min(start + chunk, first))
-        err = np.abs(mats[a, None] @ mats - mats[group.cayley[a]]).max(axis=(1, 2, 3))
-        broken = np.flatnonzero(err > tol)
-        if len(broken):
-            return "homomorphism", int(a[broken[0]])
-    return None if first == group.order else ("unitary", int(first))
+    stack = mats.reshape((-1,) + mats.shape[-3:])
+    order = group.order
+    unitary_err = np.abs(stack @ stack.conj().swapaxes(-1, -2) - np.eye(stack.shape[-1]))
+    not_unitary = unitary_err.max(axis=(-2, -1)) > tol
+    first = np.where(not_unitary.any(axis=-1), not_unitary.argmax(axis=-1), order)
+    broken = np.full(len(stack), order)  # the first g that breaks the law, per representation
+    limit = int(first.max())
+    chunk = max(1, _LAW_BATCH // stack[0, 0].size // order // len(stack))
+    for start in range(0, limit, chunk):
+        a = np.arange(start, min(start + chunk, limit))
+        err = np.abs(stack[:, a, None] @ stack[:, None] - stack[:, group.cayley[a]])
+        hit = (err.max(axis=(2, 3, 4)) > tol) & (a < first[:, None])
+        broken = np.minimum(broken, np.where(hit.any(axis=1), a[hit.argmax(axis=1)], order))
+        if ((broken < order) | (first <= a[-1] + 1)).all():
+            break
+    defects = [("homomorphism", int(b)) if b < order else None if f == order
+               else ("unitary", int(f)) for b, f in zip(broken, first)]
+    return defects if mats.ndim == 4 else defects[0]
 
 
 @dataclass
@@ -273,8 +283,16 @@ class IrrepTable:
         n = self.group.order
         if sum(r.dim ** 2 for r in self.irreps) != n:
             raise GroupValidationError("irrep dimensions do not sum to the group order")
-        for r in self.irreps:
-            defect = representation_defect(self.group, r.matrices, IRREP_TOL)
+        # one pass per matrix shape: per irrep dimension when the matrices are well formed
+        same_shape = {}
+        for i, r in enumerate(self.irreps):
+            same_shape.setdefault(np.shape(r.matrices), []).append(i)
+        defects = [None] * len(self.irreps)
+        for idx in same_shape.values():
+            stack = [self.irreps[i].matrices for i in idx]
+            for i, defect in zip(idx, representation_defect(self.group, stack, IRREP_TOL)):
+                defects[i] = defect
+        for r, defect in zip(self.irreps, defects):
             if defect is not None:
                 law, g = defect
                 if law == "unitary":

@@ -62,6 +62,14 @@ def density_from_functional(group, coeffs):
     return group.structure.from_coords(densities_from_functionals(group, coeffs))
 
 
+def _require_integer(what, value):
+    """Refuse ``value`` by name unless it is an integer; a boolean is not."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{what} {value!r} is a boolean, not an integer")
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} {value!r} is not an integer")
+
+
 def _require_finite(values, what):
     """DomainError naming the first non-finite entry of a (D,) or (N, D) stack."""
     finite = np.isfinite(values)
@@ -163,42 +171,29 @@ def haar_state(group):
     return WalkState(group, density=group.unit, label="haar")
 
 
-class StochasticOperator:
-    """The linear action T_nu = (nu (x) id) o Delta on the algebra."""
-
-    __slots__ = ("group", "matrix", "_eigenvalues")
-
-    def __init__(self, group, matrix):
-        self.group = group
-        matrix = np.asarray(matrix, dtype=complex).copy()
-        matrix.flags.writeable = False
-        self.matrix = matrix
-        self._eigenvalues = None
-
-    @property
-    def eigenvalues(self):
-        """Full spectrum with algebraic multiplicity, sorted by (modulus, argument)."""
-        if self._eigenvalues is None:
-            ev = np.linalg.eigvals(self.matrix)
-            order = np.lexsort((np.angle(ev), np.abs(ev)))
-            ev = ev[order]
-            ev.flags.writeable = False
-            self._eigenvalues = ev
-        return self._eigenvalues
-
-    def apply(self, element):
-        return self.group.structure.from_coords(self.matrix @ element.coords())
-
-    def __call__(self, element):
-        return self.apply(element)
-
-
 def stochastic_operator(state):
+    """T_nu = (nu (x) id) o Delta as a read-only (D, D) matrix acting on coordinates."""
     group = state.group
     D = group.dim
     dk3 = group.comul_kron.reshape(D, D, D)  # [s, t, f]
     matrix = np.einsum("s,stf->tf", state.functional.coeffs, dk3)
-    return StochasticOperator(group, matrix)
+    matrix.flags.writeable = False
+    return matrix
+
+
+def eigenvalues(T):
+    """Full spectrum of T with algebraic multiplicity, sorted by (modulus, argument)."""
+    ev = np.linalg.eigvals(T)
+    return ev[np.lexsort((np.angle(ev), np.abs(ev)))]
+
+
+def _orbit(M, x, n):
+    """The (n, D) stack x, Mx, ..., M^(n-1) x, one matrix-vector product per row."""
+    rows = np.empty((n, len(x)), dtype=complex)
+    rows[0] = x
+    for j in range(1, n):
+        np.matmul(M, rows[j - 1], out=rows[j])
+    return rows
 
 
 def convolve(nu, mu):
@@ -222,6 +217,7 @@ def convolution_coeffs(group, nu, mu):
 
 def convolution_power(nu, k):
     """nu^(*k) via operator powers: eps T^k = nu^(*k).  k = 0 returns the counit."""
+    _require_integer("k", k)
     if k < 0:
         raise ValueError("convolution powers need k >= 0")
     if k == 0:
@@ -230,12 +226,12 @@ def convolution_power(nu, k):
         return nu
     group = nu.group
     T = stochastic_operator(nu)
-    tk = np.linalg.matrix_power(T.matrix, k)
+    tk = np.linalg.matrix_power(T, k)
     return WalkState.from_functional_coeffs(group, tk.T @ group.counit.coeffs, check=nu.checked)
 
 
 def _tv_to_haar(nu, T, ks):
-    """TV from nu^(*k) to the Haar state for each k >= 1 of ``ks``; ``T`` is T_nu's matrix.
+    """TV from nu^(*k) to the Haar state for each k >= 1 of ``ks``; ``T`` is T_nu.
 
     The rows eps T^k, k > 1, are :func:`convolution_power`'s, refused if not
     finite and checked as one stack when nu is checked; row k = 1 is nu's density.
@@ -271,22 +267,20 @@ def distances_to_random(nu, kmax):
     whole stack (see ``lp_norms``).  For checked states the TV and QSD columns
     are verified non-increasing (within ``MONOTONE_SLACK``), as the theory requires.
     """
+    _require_integer("kmax", kmax)
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     group = nu.group
     st = group.structure
-    step = stochastic_operator(nu).matrix.T
+    step = stochastic_operator(nu).T
     unit = group.unit.coords()
     chunk = max(1, _TRACE_BATCH // st.dim)
     rows = []
     coeffs = nu.functional.coeffs
     prev_tv = prev_qsd = np.inf  # the step before the chunk; step 1 has none
     for first in range(1, kmax + 1, chunk):
-        stack = np.empty((min(chunk, kmax + 1 - first), st.dim), dtype=complex)
-        stack[0] = coeffs
-        for j in range(1, len(stack)):
-            stack[j] = step @ stack[j - 1]
-        coeffs = step @ stack[-1]
+        orbit = _orbit(step, coeffs, min(chunk, kmax + 1 - first) + 1)
+        stack, coeffs = orbit[:-1], orbit[-1]
         l1, l2, qsd = lp_norms(st, stack[:, st.star_perm] / group.haar_coord_weights - unit,
                                group.haar_weights)
         tv = 0.5 * l1
@@ -361,7 +355,7 @@ def cesaro_limit(nu):
     ``AGREEMENT_TOL``.  The limit is verified idempotent and its support
     group-like.
     """
-    return _cesaro_limit(nu.group, stochastic_operator(nu).matrix)
+    return _cesaro_limit(nu.group, stochastic_operator(nu))
 
 
 def _cesaro_limit(group, T):
@@ -392,7 +386,7 @@ def spectrum_peripheral(T):
     2 sin(pi/d) >> 2 ``ROOT_OF_UNITY_TOL`` apart, so the d peripheral
     eigenvalues match them one to one when each root has one of them nearby.
     """
-    ev = T.eigenvalues
+    ev = eigenvalues(T)
     if np.abs(ev).max() > 1 + PERIPHERAL_TOL:
         raise NumericError("stochastic operator spectrum leaves the unit disc")
     peripheral = ev[np.abs(ev) >= 1 - PERIPHERAL_TOL]

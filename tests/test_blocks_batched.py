@@ -170,7 +170,7 @@ def test_distance_trace_of_a_formal_functional_matches_per_block(twodim_state):
     assert not nu.checked and not nu.density.is_hermitian()
     group = nu.group
     structure, w = group.structure, group.haar_weights
-    T = walks.stochastic_operator(nu).matrix
+    T = walks.stochastic_operator(nu)
     rows = walks.distances_to_random(nu, 30)
     c = nu.functional.coeffs
     for k, tv, l2, qsd in rows:

@@ -305,6 +305,16 @@ def test_kmax_one_writes_one_row(tmp_path):
     assert len((out / "trace.csv").read_text().splitlines()) == 2
 
 
+def test_config_kmax_written_as_a_float_traces_as_its_integer(tmp_path):
+    # the schema's "integer" takes 3.0; the trace then ended in a TypeError traceback
+    (tmp_path / "float").mkdir()
+    (tmp_path / "int").mkdir()
+    code, out = run_cli(tmp_path / "float", "trace", dict(CFG_432, kmax=3.0))
+    assert code == 0
+    _, want = run_cli(tmp_path / "int", "trace", dict(CFG_432, kmax=3))
+    assert (out / "trace.csv").read_bytes() == (want / "trace.csv").read_bytes()
+
+
 def test_determinism_byte_identical(tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(CFG_41))
@@ -485,6 +495,23 @@ def test_describe_bytes_match_the_recorded_reference(tmp_path, case):
     code, out = run_cli(tmp_path, "describe", config)
     assert code == 0
     assert (out / "describe.json").read_bytes() == case["output"].encode()
+
+
+def _verdict_cases():
+    path = os.path.join(os.path.dirname(__file__), "data", "verdict_reference.json")
+    with open(path) as fh:
+        return json.load(fh)["cases"]
+
+
+@pytest.mark.parametrize("command, filename", [("verdict", "verdict.json"),
+                                               ("spectrum", "spectrum.csv")])
+@pytest.mark.parametrize("case", _verdict_cases(), ids=lambda case: case["name"])
+def test_verdict_and_spectrum_bytes_match_the_recorded_reference(tmp_path, case, command,
+                                                                 filename):
+    # recorded while the stochastic operator was still an object with a cached spectrum
+    code, out = run_cli(tmp_path, command, case["config"])
+    assert code == 0
+    assert (out / filename).read_bytes() == case[command].encode()
 
 
 def test_experiment_probe_runs_as_stacks(tmp_path, monkeypatch):

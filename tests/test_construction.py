@@ -178,6 +178,20 @@ def test_representation_defect_matches_the_element_loop(monkeypatch, batch, case
         assert found is None or type(found[1]) is int
 
 
+@pytest.mark.parametrize("batch", [groups._LAW_BATCH, 1, 20])
+@pytest.mark.parametrize("cases", [_s3_cases, _cyclic_cases], ids=["S3", "C5"])
+def test_representation_defect_of_a_stack_lists_each_result(monkeypatch, batch, cases):
+    # one pass over all the cases of one shape gives each case's own first defect
+    monkeypatch.setattr(groups, "_LAW_BATCH", batch)
+    group, reps = cases()
+    shape = np.shape(reps[0][0])
+    same = [(mats, expected) for mats, expected in reps if np.shape(mats) == shape]
+    assert len(same) >= 4
+    found = representation_defect(group, np.array([mats for mats, _ in same]), 1e-9)
+    assert found == [expected for _, expected in same]
+    assert all(type(d[1]) is int for d in found if d is not None)
+
+
 @pytest.mark.parametrize("structure", [
     lambda: function_algebra(cyclic_group(8)).split.product,
     lambda: BlockStructure([2] * 5),

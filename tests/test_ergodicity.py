@@ -1,3 +1,4 @@
+import re
 import time
 
 import numpy as np
@@ -106,7 +107,7 @@ def test_three_routes_on_mixed_corpus(f_s3, dual_s3, kp, s3):
         for p in res.fixed_projections:
             assert is_projection(p)
             assert p.norm_inf() > 0.5 and (unit - p).norm_inf() > 0.5
-            assert (T.apply(p) - p).norm_inf() <= KERNEL_TOL
+            assert (p.structure.from_coords(T @ p.coords()) - p).norm_inf() <= KERNEL_TOL
         assert bool(res) == (len(res.fixed_projections) == 0)
         if i >= len(states):
             assert res.fixed_projections == []
@@ -174,7 +175,7 @@ def _cyclic_partition_by_element(nu, d):
 
     chain = [p0]
     for _ in range(d - 1):
-        chain.append(clean(T.apply(chain[-1])))
+        chain.append(clean(group.structure.from_coords(T @ chain[-1].coords())))
     projections = [p0] + chain[1:][::-1]
     total = group.structure.zero()
     for p in projections:
@@ -185,7 +186,8 @@ def _cyclic_partition_by_element(nu, d):
         for q in projections[i + 1:]:
             if (p * q).norm_inf() > PROJECTION_EQ_TOL:
                 raise ClassificationError("cyclic projections are not orthogonal")
-        if (T.apply(p) - projections[(i - 1) % d]).norm_inf() > PROJECTION_EQ_TOL:
+        image = p.structure.from_coords(T @ p.coords())
+        if (image - projections[(i - 1) % d]).norm_inf() > PROJECTION_EQ_TOL:
             raise ClassificationError("projections are not T-cyclic")
         if abs(group.haar(p).real - 1.0 / d) > PROJECTION_EQ_TOL:
             raise ClassificationError("cyclic projection Haar mass is not 1/d")
@@ -196,7 +198,7 @@ def _cyclic_partition_by_element(nu, d):
     if not group.is_group_like_projection(p0):
         raise ClassificationError("p_0 is not group-like")
     p1 = projections[1]
-    Td = np.linalg.matrix_power(T.matrix, d)
+    Td = np.linalg.matrix_power(T, d)
     if (group.structure.from_coords(Td @ p1.coords()) - p1).norm_inf() > PROJECTION_EQ_TOL:
         raise ClassificationError("T^d does not fix p_1")
     return projections
@@ -227,6 +229,23 @@ def test_cyclic_partition_refuses_a_wrong_period(f_c4, d):
         with pytest.raises(ClassificationError,
                            match="^cyclic projections do not sum to the unit$"):
             build(nu, d)
+
+
+@pytest.mark.parametrize("d, message", [
+    # 4.0 met numpy's bare "exponent must be an integer"
+    (4.0, "d 4.0 is not an integer"),
+    (True, "d True is a boolean, not an integer"),
+    (np.True_, "d np.True_ is a boolean, not an integer"),
+])
+def test_cyclic_partition_refuses_a_period_that_is_not_an_integer(f_c4, d, message):
+    nu = classical_state(f_c4, ("point", 1))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cyclic_partition(nu, d)
+
+
+def test_cyclic_partition_takes_a_numpy_integer_period(f_c4):
+    nu = classical_state(f_c4, ("point", 1))
+    assert cyclic_partition(nu, np.int64(4)).period == 4
 
 
 def _tv_by_loop(nu, ks):
@@ -267,7 +286,7 @@ def test_tv_samples_equal_the_per_power_loop(f_s3, kp, twodim_state):
         if tag == "ergodic":
             k_star = _k_star(verdict.spectrum)
             assert (k_star == 1) == (name == "F(C1) point"), name  # F(C1): no power to stack
-            far = _tv_to_haar(nu, stochastic_operator(nu).matrix, (k_star,))
+            far = _tv_to_haar(nu, stochastic_operator(nu), (k_star,))
             assert [tv.hex() for tv in far] == [tv.hex() for tv in _tv_by_loop(nu, [k_star])]
 
 

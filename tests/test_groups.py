@@ -23,6 +23,8 @@ from qergodic.groups import (
     symmetric_group,
 )
 
+from qergodic.catalog import function_algebra, group_algebra
+
 from conftest import perm_rep_matrices
 
 
@@ -222,6 +224,38 @@ def test_irrep_table_rejects_broken_representations():
         _c_table(3, [[1, 1, 1], [1, 2, w], [1, w * w, w]])
     with pytest.raises(GroupValidationError, match="character orthogonality fails"):
         _c_table(2, [[1, 1], [1, 1]])
+
+
+def test_irrep_table_reports_the_first_broken_irrep_in_list_order():
+    # the 1-dimensional irreps are checked in one pass and the 2-dimensional one in another;
+    # the table still names the first broken irrep of its own list
+    s3 = symmetric_group(3)
+    trivial, sign, standard = s3_irreps(s3).irreps
+    twisted = Irrep("standard", 2, standard.matrices[[0, 2, 1, 3, 4, 5]])
+    stretched = Irrep("sign", 1, sign.matrices * np.array([2, 1, 1, 1, 1, 1])[:, None, None])
+    with pytest.raises(GroupValidationError, match="^irrep standard is not a homomorphism$"):
+        IrrepTable(s3, [trivial, twisted, stretched])
+    with pytest.raises(GroupValidationError, match="^irrep sign is not unitary at 0$"):
+        IrrepTable(s3, [trivial, stretched, twisted])
+
+
+@pytest.mark.parametrize("build, calls", [
+    (lambda: cyclic_irreps(cyclic_group(48)), 1),
+    (lambda: s3_irreps(symmetric_group(3)), 2),
+    (lambda: function_algebra(cyclic_group(48)), 1),
+    (lambda: group_algebra(cyclic_group(32)), 1),
+    (lambda: group_algebra(symmetric_group(3)), 2),
+], ids=["C48", "S3", "F(C48)", "C[C32]", "C[S3]"])
+def test_irrep_tables_are_checked_once_per_dimension(monkeypatch, build, calls):
+    # one representation_defect call per irrep made 48 for C48 and 32 for C[C32]
+    from qergodic import groups
+
+    seen = []
+    check = groups.representation_defect
+    monkeypatch.setattr(groups, "representation_defect",
+                        lambda *args: seen.append(1) or check(*args))
+    build()
+    assert len(seen) == calls
 
 
 def test_permutation_matrices():

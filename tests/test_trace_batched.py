@@ -34,7 +34,7 @@ def reference_trace(nu, kmax):
                 raise NumericError(f"distance trace increased at step {k}")
         prev_tv, prev_qsd = tv, qsd
         rows.append((k, tv, l2, qsd))
-        coeffs = T.matrix.T @ coeffs
+        coeffs = T.T @ coeffs
     return rows
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from qergodic.catalog import (
 from qergodic.tolerances import PERIPHERAL_TOL, ROOT_OF_UNITY_TOL
 from qergodic.walks import (
     NumericError,
-    StochasticOperator,
     WalkState,
     cesaro_limit,
     check_states,
@@ -20,6 +21,7 @@ from qergodic.walks import (
     convolve,
     counit_state,
     distances_to_random,
+    eigenvalues,
     functionals_from_densities,
     haar_state,
     random_state,
@@ -149,6 +151,25 @@ def test_convolution_power_basics(f_s3):
     assert total_variation(two, convolve(nu, nu)) < 1e-10
 
 
+@pytest.mark.parametrize("k, message", [
+    # True was read as 1 and returned nu itself; 2.0 met numpy's bare exponent error
+    (True, "k True is a boolean, not an integer"),
+    (np.False_, "k np.False_ is a boolean, not an integer"),
+    (2.0, "k 2.0 is not an integer"),
+    ("2", "k '2' is not an integer"),
+])
+def test_convolution_power_refuses_a_k_that_is_not_an_integer(f_s3, k, message):
+    nu = classical_state(f_s3, ("uniform", ["(12)", "(123)"]))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        convolution_power(nu, k)
+
+
+def test_convolution_power_takes_numpy_integers(f_s3):
+    nu = classical_state(f_s3, ("uniform", ["(12)", "(123)"]))
+    assert np.array_equal(convolution_power(nu, np.int64(3)).functional.coeffs,
+                          convolution_power(nu, 3).functional.coeffs)
+
+
 def test_convolution_power_matches_classical_oracle(f_s3, s3):
     nu = classical_state(f_s3, ("uniform", ["(12)", "(13)", "(23)"]))
     w = np.zeros(6)
@@ -179,10 +200,27 @@ def test_dual_powers_are_pointwise(dual_s3, perm_state):
 # -- stochastic operator -----------------------------------------------------------
 
 
+def _apply(T, x):
+    """T(x) for an algebra element x."""
+    return x.structure.from_coords(T @ x.coords())
+
+
 def test_T_of_counit_is_identity(f_s3, dual_s3, kp):
     for entry in (f_s3, dual_s3, kp):
         T = stochastic_operator(counit_state(entry))
-        assert np.abs(T.matrix - np.eye(entry.dim)).max() < 1e-10
+        assert np.abs(T - np.eye(entry.dim)).max() < 1e-10
+
+
+def test_T_is_a_read_only_matrix(kp):
+    T = stochastic_operator(random_state(kp, np.random.default_rng(23)))
+    assert type(T) is np.ndarray and T.shape == (kp.dim, kp.dim) and T.dtype == complex
+    with pytest.raises(ValueError, match="read-only"):
+        T[0, 0] = 0
+
+
+def test_eigenvalues_sort_by_modulus_then_argument():
+    T = np.diag(np.array([1j, -1, 0.5, 1, -0.5j]))
+    assert np.allclose(eigenvalues(T), [-0.5j, 0.5, 1, 1j, -1], rtol=0, atol=1e-15)
 
 
 def test_T_diagonal_on_dual(dual_s3, perm_state):
@@ -191,7 +229,7 @@ def test_T_diagonal_on_dual(dual_s3, perm_state):
     T = stochastic_operator(perm_state)
     for g in range(6):
         d = dual_s3.structure.from_coords(real.basis[:, g])
-        assert (T(d) - values[g] * d).norm_inf() < 1e-10
+        assert (_apply(T, d) - values[g] * d).norm_inf() < 1e-10
 
 
 def test_T_classical_coordinates(f_s3, s3):
@@ -201,7 +239,7 @@ def test_T_classical_coordinates(f_s3, s3):
     T = stochastic_operator(nu)
     for i in range(6):
         for j in range(6):
-            assert abs(T.matrix[i, j].real - w[s3.mul(j, s3.inv(i))]) < 1e-12
+            assert abs(T[i, j].real - w[s3.mul(j, s3.inv(i))]) < 1e-12
 
 
 def test_T_properties_i_to_viii(f_s3, dual_s3, kp):
@@ -210,39 +248,39 @@ def test_T_properties_i_to_viii(f_s3, dual_s3, kp):
         mu = random_state(entry, RNG)
         T = stochastic_operator(nu)
         # i. mu T = nu * mu
-        pulled = T.matrix.T @ mu.functional.coeffs
+        pulled = T.T @ mu.functional.coeffs
         assert np.abs(pulled - convolve(nu, mu).functional.coeffs).max() < 1e-10
         # ii. T^k = T_{nu^(*k)}
-        T3 = np.linalg.matrix_power(T.matrix, 3)
-        assert np.abs(T3 - stochastic_operator(convolution_power(nu, 3)).matrix).max() < 1e-10
+        T3 = np.linalg.matrix_power(T, 3)
+        assert np.abs(T3 - stochastic_operator(convolution_power(nu, 3))).max() < 1e-10
         # iii. eps T^k = nu^(*k), k <= 20
         eps = counit_state(entry).functional.coeffs
         acc = np.eye(entry.dim)
         for k in range(1, 21):
-            acc = acc @ T.matrix
+            acc = acc @ T
             assert np.abs(acc.T @ eps -
                           convolution_power(nu, k).functional.coeffs).max() < 1e-9
         # iv. unital and positive
-        assert (T(entry.unit) - entry.unit).norm_inf() < 1e-10
+        assert (_apply(T, entry.unit) - entry.unit).norm_inf() < 1e-10
         for _ in range(5):
             sq = random_positive(entry.structure, RNG)
             vals = np.concatenate([
-                np.linalg.eigvalsh((b + b.conj().T) / 2) for b in T(sq).blocks
+                np.linalg.eigvalsh((b + b.conj().T) / 2) for b in _apply(T, sq).blocks
             ])
             assert vals.min() > -1e-9
         # vi. haar o T = haar
-        pulled = T.matrix.T @ entry.haar.coeffs
+        pulled = T.T @ entry.haar.coeffs
         assert np.abs(pulled - entry.haar.coeffs).max() < 1e-10
         # vii. T(g) = S(f_nu) (*) g
         sf = entry.structure.from_coords(entry.antipode @ nu.density.coords())
         for _ in range(5):
             g = random_element(entry.structure, RNG)
-            assert (T(g) - entry.box_convolve(sf, g)).norm_inf() < 1e-10
+            assert (_apply(T, g) - entry.box_convolve(sf, g)).norm_inf() < 1e-10
         # viii. ||T|| = 1, estimated on the positive cone
-        best = (T(entry.unit)).norm_inf() / entry.unit.norm_inf()
+        best = (_apply(T, entry.unit)).norm_inf() / entry.unit.norm_inf()
         for _ in range(20):
             a = random_positive(entry.structure, RNG)
-            best = max(best, T(a).norm_inf() / a.norm_inf())
+            best = max(best, _apply(T, a).norm_inf() / a.norm_inf())
         assert abs(best - 1.0) < 1e-8
 
 
@@ -258,7 +296,7 @@ def test_T_complete_positivity(kp, dual_s3):
                     for k in range(m):
                         acc = acc + X[k][r].adjoint() * X[k][c]
                     F[r][c] = acc
-            TF = [[T(F[r][c]) for c in range(m)] for r in range(m)]
+            TF = [[_apply(T, F[r][c]) for c in range(m)] for r in range(m)]
             for i, n in enumerate(entry.structure.dims):
                 big = np.zeros((m * n, m * n), dtype=complex)
                 for r in range(m):
@@ -313,6 +351,22 @@ def test_trace_of_haar_is_zero(f_s3):
     rows = distances_to_random(haar_state(f_s3), 5)
     for _, tv, l2, qsd in rows:
         assert tv < 1e-12 and l2 < 1e-12 and qsd < 1e-12
+
+
+@pytest.mark.parametrize("kmax, message", [
+    # True was read as 1 and gave one row; 2.5 met a bare "cannot be interpreted" error
+    (True, "kmax True is a boolean, not an integer"),
+    (2.5, "kmax 2.5 is not an integer"),
+    (3.0, "kmax 3.0 is not an integer"),
+])
+def test_trace_refuses_a_kmax_that_is_not_an_integer(f_s3, kmax, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        distances_to_random(haar_state(f_s3), kmax)
+
+
+def test_trace_takes_numpy_integers(f_s3):
+    nu = classical_state(f_s3, ("uniform", ["(12)", "(123)"]))
+    assert distances_to_random(nu, np.int32(4)) == distances_to_random(nu, 4)
 
 
 def test_binary_chain_qsd_closed_form(f_c2):
@@ -481,9 +535,10 @@ def _roots_match_greedily(peripheral):
     ([1, np.exp(0.3j), 0.5, 0], False),
     ([1, -1, -1, 0], False),
 ])
-def test_peripheral_spectrum_must_be_roots_of_unity(f_c4, diagonal, cyclic):
-    T = StochasticOperator(f_c4, np.diag(np.array(diagonal, dtype=complex)))
-    peripheral = T.eigenvalues[np.abs(T.eigenvalues) >= 1 - PERIPHERAL_TOL]
+def test_peripheral_spectrum_must_be_roots_of_unity(diagonal, cyclic):
+    T = np.diag(np.array(diagonal, dtype=complex))
+    ev = eigenvalues(T)
+    peripheral = ev[np.abs(ev) >= 1 - PERIPHERAL_TOL]
     assert _roots_match_greedily(peripheral) == cyclic
     if cyclic:
         assert spectrum_peripheral(T)[1].tobytes() == peripheral.tobytes()
