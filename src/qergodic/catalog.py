@@ -28,6 +28,8 @@ from .hopf import FiniteQuantumGroup, StructuralError
 from .tolerances import INPUT_NORM_TOL, POSITIVITY_TOL, USER_REP_TOL, WEIGHT_SIGN_TOL
 from .walks import WalkState, _require_integer
 
+_DELTA_BATCH = 16384  # entries per block of rows of C[G]'s Delta: 256 KiB of complex
+
 
 @dataclass
 class ClassicalRealization:
@@ -95,11 +97,18 @@ def group_algebra(group, irreps=None):
         [r.matrices.reshape(group.order, -1) for r in irreps.irreps], axis=1
     ).T
     basis_inv = np.linalg.inv(basis)
-    # column g is delta^g (x) delta^g
-    delta_cols = (basis[:, None, :] * basis[None, :, :]).reshape(-1, group.order)
-    counit = LinearFunctional(structure, np.linalg.solve(basis.T, np.ones(group.order)))
+    D = group.order
+    # Delta = delta_cols @ basis_inv, where column g of delta_cols is delta^g (x) delta^g,
+    # taken a few first-factor rows s at a time so delta_cols is never formed whole
+    comul = np.empty((D * D, D), dtype=complex)
+    rows = max(1, _DELTA_BATCH // (D * D))
+    for start in range(0, D, rows):
+        stop = min(start + rows, D)
+        cols = (basis[start:stop, None, :] * basis[None, :, :]).reshape(-1, D)
+        np.matmul(cols, basis_inv, out=comul[start * D:stop * D])
+    counit = LinearFunctional(structure, np.linalg.solve(basis.T, np.ones(D)))
     return FiniteQuantumGroup(
-        structure, delta_cols @ basis_inv, counit, basis[:, group.inverse] @ basis_inv,
+        structure, comul, counit, basis[:, group.inverse] @ basis_inv,
         label=f"C[{group.label}]",
         realization=DualRealization(group, irreps, basis, basis_inv),
     )

@@ -187,12 +187,13 @@ def build_quantum_group(group_spec):
         if "family" not in g or "n" not in g:
             raise ConfigError("classical group needs a family and n, or a cayley_file")
         try:
-            return catalog.function_algebra(build_group(g["family"], n=g["n"]))
+            # JSON Schema counts 4.0 as an integer; the group constructors want an int
+            return catalog.function_algebra(build_group(g["family"], n=int(g["n"])))
         except _REFUSALS as exc:
             raise ConfigError(f"cannot build classical group: {exc}")
     g = group_spec["dual"]
     try:
-        return catalog.group_algebra(build_group(g["family"], n=g["n"]))
+        return catalog.group_algebra(build_group(g["family"], n=int(g["n"])))
     except _REFUSALS as exc:
         raise UnsupportedCombination(f"cannot build the dual entry: {exc}")
 

@@ -81,7 +81,16 @@ class FiniteGroup:
 # -- constructors ---------------------------------------------------------------
 
 
+def _require_order(n):
+    """Refuse ``n`` by name unless it is an integer; a boolean is not."""
+    if isinstance(n, (bool, np.bool_)):
+        raise GroupValidationError(f"n = {n!r} is a boolean, not an integer")
+    if not isinstance(n, (int, np.integer)):
+        raise GroupValidationError(f"n = {n!r} is not an integer")
+
+
 def cyclic_group(n):
+    _require_order(n)
     if n < 1:
         raise GroupValidationError("cyclic order must be >= 1")
     elems = np.arange(n)
@@ -112,6 +121,7 @@ def symmetric_group(n):
 
     Bounded at n <= 4: larger orders are outside this artifact's scope.
     """
+    _require_order(n)
     if not 1 <= n <= 4:
         raise GroupValidationError("symmetric groups are supported for 1 <= n <= 4")
     perms = list(itertools.permutations(range(n)))
@@ -129,6 +139,7 @@ def symmetric_group(n):
 
 def dihedral_group(n):
     """D_n of order 2n: rotations r0..r{n-1} and reflections s0..s{n-1}."""
+    _require_order(n)
     if n < 1:
         raise GroupValidationError("dihedral parameter must be >= 1")
     names = [f"r{i}" for i in range(n)] + [f"s{i}" for i in range(n)]
@@ -225,7 +236,7 @@ def is_subgroup(group, elems):
 # -- irreducible representations ---------------------------------------------------
 
 
-_LAW_BATCH = 1 << 16  # matrix entries per chunk of the homomorphism check: 1 MiB of complex
+_LAW_BATCH = 1 << 14  # matrix entries per chunk of the homomorphism check: 256 KiB of complex
 
 
 def representation_defect(group, matrices, tol):

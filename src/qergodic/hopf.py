@@ -3,8 +3,10 @@
 A :class:`FiniteQuantumGroup` bundles a block structure with its
 comultiplication, counit and antipode, and computes the Haar state (by a
 linear solve, never from a closed form) and the Haar element at construction
-time.  The comultiplication is stored once, as a (D^2, D) matrix in the
-Kronecker order of the two factors, and the antipode as a (D, D) matrix.
+time.  The solve reduces its (D^2, D) system block by block into a (D, D)
+triangular factor, so it holds about D^2 entries above the stored maps.
+The comultiplication is stored once, as a (D^2, D) matrix in the Kronecker
+order of the two factors, and the antipode as a (D, D) matrix.
 Axiom verification, group-like projection machinery and the convolution
 product on the algebra live here as well.
 """
@@ -35,6 +37,8 @@ from .tolerances import (
     PROJECTION_EQ_TOL,
     STRUCTURE_TOL,
 )
+
+_HAAR_BATCH = 16384  # entries per block of rows of the Haar system: 256 KiB of complex
 
 # coordinates of a rank-1 2x2 projection 0.5 (1 + n . sigma): the constant term,
 # then the coefficients of n_x, n_y and n_z
@@ -141,16 +145,29 @@ class FiniteQuantumGroup:
     def _solve_haar(self):
         """Solve the left-invariance system (h (x) id) Delta(f) = h(f) 1 for h.
 
-        Asserts the solution space is one-dimensional, then validates
-        traciality and faithfulness of the normalized solution.
+        The (D^2, D) system is never formed: its blocks of rows, a few f at
+        a time (at most ``_HAAR_BATCH`` entries each), are reduced in turn
+        into a (D, D) triangular factor R of the system, whose singular
+        values and right singular vectors are the system's, and the null
+        vector comes from the SVD of R.  Transient memory thus stays within
+        about D^2 entries above the stored Delta; when one block holds the
+        whole system its SVD is taken directly.  Asserts the solution space
+        is one-dimensional, then validates traciality and faithfulness of
+        the normalized solution.
         """
         D = self.dim
         unit = self.unit.coords()
         dk3 = self.comul_kron.reshape(D, D, D)  # [s, t, f]
-        # block f of the system is W_f.T - unit e_f^T, with W_f = Delta(e_f) as a D x D array
-        system = dk3.transpose(2, 1, 0).copy()
-        system[np.arange(D), :, np.arange(D)] -= unit
-        system = system.reshape(D * D, D)
+        chunk = max(1, _HAAR_BATCH // (D * D))
+        system = np.empty((0, D), dtype=complex)
+        for start in range(0, D, chunk):
+            stop = min(start + chunk, D)
+            # block f of the system is W_f.T - unit e_f^T, with W_f = Delta(e_f) as a D x D array
+            block = dk3[:, :, start:stop].transpose(2, 1, 0).copy()
+            block[np.arange(stop - start), :, np.arange(start, stop)] -= unit
+            system = np.concatenate([system, block.reshape(-1, D)])
+            if chunk < D:
+                system = np.linalg.qr(system, mode="r")
         _, sing, vh = np.linalg.svd(system, full_matrices=False)
         null_count = int(np.sum(sing <= HAAR_NULL_RTOL * max(1.0, sing[0])))
         if null_count != 1:
@@ -175,7 +192,7 @@ class FiniteQuantumGroup:
         coeffs = coord_weights * unit.real
         haar = LinearFunctional(self.structure, coeffs)
         # right invariance and antipode invariance are theorems; treat failures as structural
-        if np.abs(dk3.transpose(2, 0, 1) @ coeffs - np.outer(coeffs, unit)).max() > STRUCTURE_TOL:
+        if np.abs(coeffs @ dk3 - np.outer(unit, coeffs)).max() > STRUCTURE_TOL:
             raise StructuralError("Haar state is not right invariant")
         if np.abs(self.antipode.T @ coeffs - coeffs).max() > STRUCTURE_TOL:
             raise StructuralError("Haar state is not antipode invariant")

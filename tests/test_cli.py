@@ -315,6 +315,24 @@ def test_config_kmax_written_as_a_float_traces_as_its_integer(tmp_path):
     assert (out / "trace.csv").read_bytes() == (want / "trace.csv").read_bytes()
 
 
+@pytest.mark.parametrize("group, state", [
+    ({"classical": {"family": "cyclic", "n": 4.0}}, {"point": 1}),
+    ({"classical": {"family": "dihedral", "n": 3.0}}, {"uniform": ["r0", "s0"]}),
+    ({"dual": {"family": "cyclic", "n": 4.0}},
+     {"positive_definite": {"rep": "character:1", "xi": [1.0]}}),
+], ids=["classical", "dihedral", "dual"])
+def test_group_order_written_as_a_float_builds_as_its_integer(tmp_path, group, state):
+    # the schema's "integer" takes 4.0; the classical build printed Python's bare TypeError
+    # and the dual one exited 3
+    as_int = {k: {**v, "n": int(v["n"])} for k, v in group.items()}
+    (tmp_path / "float").mkdir()
+    (tmp_path / "int").mkdir()
+    code, out = run_cli(tmp_path / "float", "verdict", {"schema": 1, "group": group, "state": state})
+    assert code == 0
+    _, want = run_cli(tmp_path / "int", "verdict", {"schema": 1, "group": as_int, "state": state})
+    assert (out / "verdict.json").read_bytes() == (want / "verdict.json").read_bytes()
+
+
 def test_determinism_byte_identical(tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(CFG_41))

@@ -4,26 +4,34 @@
 ``representation_defect`` build their arrays by index arithmetic, one
 assignment per size class (or pair of size classes) or one array pass per
 chunk of group elements.  Each reference below is the per-block, per-pair or
-per-element loop it replaced, and the two must agree exactly.
+per-element loop it replaced, and the two must agree exactly.  The Haar solve
+and C[G]'s comultiplication work on blocks of rows; their references are the
+one-shot full SVD and matrix product they replaced, equal where one block
+covers everything and within 1e-15 otherwise.
 """
 
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import qergodic
-from qergodic import groups
+from qergodic import catalog, groups, hopf
 from qergodic.blocks import BlockStructure, TensorSplit, products, random_element
-from qergodic.catalog import function_algebra
+from qergodic.catalog import function_algebra, group_algebra, kac_paljutkin
 from qergodic.groups import (
+    GroupValidationError,
     cyclic_group,
+    dihedral_group,
     representation_defect,
     s3_standard_integral,
     symmetric_group,
 )
+from qergodic.hopf import FiniteQuantumGroup, StructuralError
+from qergodic.tolerances import HAAR_NULL_RTOL, HAAR_WEIGHT_FLOOR, STRUCTURE_TOL
 
 from conftest import perm_rep_matrices
 
@@ -237,3 +245,178 @@ def test_construction_leaves_numpy_ma_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+def ref_solve_haar(qg):
+    """The full-SVD solve: the whole (D^2, D) invariance system at once, then each check.
+
+    Returns the Haar coefficients and block weights, or raises what the solve raised.
+    """
+    D = qg.dim
+    unit = qg.unit.coords()
+    dk3 = qg.comul_kron.reshape(D, D, D)
+    system = dk3.transpose(2, 1, 0).copy()
+    system[np.arange(D), :, np.arange(D)] -= unit
+    system = system.reshape(D * D, D)
+    _, sing, vh = np.linalg.svd(system, full_matrices=False)
+    null_count = int(np.sum(sing <= HAAR_NULL_RTOL * max(1.0, sing[0])))
+    if null_count != 1:
+        raise StructuralError(
+            f"invariance system has a {null_count}-dimensional solution space; "
+            "the structure maps do not define a quantum group"
+        )
+    coeffs = vh[-1].conj()
+    coeffs = coeffs / (coeffs @ unit)
+    weights = np.empty(len(qg.structure.dims))
+    for n, ids, idx in qg.structure.size_classes:
+        seg = coeffs[idx]
+        w = np.trace(seg, axis1=1, axis2=2) / n
+        if np.any(np.abs(w.imag) > STRUCTURE_TOL) or np.any(w.real <= HAAR_WEIGHT_FLOOR):
+            raise StructuralError("Haar state is not faithful and positive")
+        if np.abs(seg - w[:, None, None] * np.eye(n)).max() > STRUCTURE_TOL:
+            raise StructuralError("Haar state is not tracial")
+        weights[ids] = w.real
+    coeffs = np.repeat(weights, [n * n for n in qg.structure.dims]) * unit.real
+    if np.abs(dk3.transpose(2, 0, 1) @ coeffs - np.outer(coeffs, unit)).max() > STRUCTURE_TOL:
+        raise StructuralError("Haar state is not right invariant")
+    if np.abs(qg.antipode.T @ coeffs - coeffs).max() > STRUCTURE_TOL:
+        raise StructuralError("Haar state is not antipode invariant")
+    return coeffs, tuple(weights.tolist())
+
+
+def ref_group_algebra_comul(qg):
+    """C[G]'s Delta as one product: column g of delta_cols is delta^g (x) delta^g."""
+    basis, basis_inv = qg.realization.basis, qg.realization.basis_inv
+    delta_cols = (basis[:, None, :] * basis[None, :, :]).reshape(-1, len(basis))
+    return delta_cols @ basis_inv
+
+
+_HAAR_CASES = {
+    **{f"F(C{n})": (lambda n=n: function_algebra(cyclic_group(n))) for n in (16, 32, 48, 64)},
+    **{f"C[C{n}]": (lambda n=n: group_algebra(cyclic_group(n))) for n in (16, 32, 48, 64)},
+    "KP": kac_paljutkin,
+    "C[S3]": lambda: group_algebra(symmetric_group(3)),
+    "F(S4)": lambda: function_algebra(symmetric_group(4)),
+    "F(D6)": lambda: function_algebra(dihedral_group(6)),
+}
+
+
+@pytest.mark.parametrize("build", _HAAR_CASES.values(), ids=_HAAR_CASES.keys())
+def test_haar_solve_matches_the_full_svd(build):
+    qg = build()
+    coeffs, weights = ref_solve_haar(qg)
+    assert np.abs(qg.haar.coeffs - coeffs).max() <= 1e-15
+    assert np.allclose(qg.haar_weights, weights, rtol=0, atol=1e-15)
+    if qg.dim ** 3 <= hopf._HAAR_BATCH:  # one block of rows is the whole system
+        assert np.array_equal(qg.haar.coeffs, coeffs) and qg.haar_weights == weights
+
+
+def _transported_kp(kp, linv):
+    """KP's Delta moved to (L (x) id) Delta L^-1: its left-invariant state is h L^-1."""
+    return np.kron(np.linalg.inv(linv), np.eye(kp.dim)) @ kp.comul_kron @ linv
+
+
+def _broken_kp_maps(kp):
+    """(comultiplication, antipode, refusal) of KP with one identity of the solve broken."""
+    D = kp.dim
+    primitive = np.zeros((D * D, D), dtype=complex)  # Delta(e_f) = e_f (x) 1: every h solves
+    primitive.reshape(D, D, D)[np.arange(D), :, np.arange(D)] = kp.unit.coords()
+    negative, rescaled, mixed = np.eye(D), np.eye(D), np.eye(D)
+    negative[1, 1] = -1  # h L^-1 has weight -1/8 on the second 1x1 block
+    rescaled[1, 1] = 2  # faithful and tracial, but not right invariant
+    mixed[4, 5] = 0.5  # h L^-1 reads an off-diagonal entry of the 2x2 block
+    dimension = ("invariance system has a {}-dimensional solution space; "
+                 "the structure maps do not define a quantum group")
+    return [
+        (primitive, kp.antipode, dimension.format(8)),
+        (1.001 * kp.comul_kron, kp.antipode, dimension.format(0)),
+        (_transported_kp(kp, negative), kp.antipode, "Haar state is not faithful and positive"),
+        (_transported_kp(kp, mixed), kp.antipode, "Haar state is not tracial"),
+        (_transported_kp(kp, rescaled), kp.antipode, "Haar state is not right invariant"),
+        (kp.comul_kron, 1.001 * kp.antipode, "Haar state is not antipode invariant"),
+    ]
+
+
+@pytest.mark.parametrize("batch", [hopf._HAAR_BATCH, 1])
+def test_haar_solve_refuses_broken_structure_as_the_full_svd_did(monkeypatch, kp, batch):
+    monkeypatch.setattr(hopf, "_HAAR_BATCH", batch)  # the whole system, or one f per block
+    for comul, antipode, message in _broken_kp_maps(kp):
+        qg = FiniteQuantumGroup(kp.structure, comul, kp.counit, antipode, validate=False)
+        with pytest.raises(StructuralError, match=f"^{message}$"):
+            ref_solve_haar(qg)
+        with pytest.raises(StructuralError, match=f"^{message}$"):
+            qg.haar
+
+
+@pytest.mark.parametrize("build", [
+    lambda: group_algebra(cyclic_group(48)),
+    lambda: group_algebra(symmetric_group(3)),
+    kac_paljutkin,
+], ids=["C[C48]", "C[S3]", "KP"])
+def test_haar_solve_with_one_f_per_block_matches_the_full_svd(monkeypatch, build):
+    monkeypatch.setattr(hopf, "_HAAR_BATCH", 1)
+    qg = build()
+    assert np.abs(qg.haar.coeffs - ref_solve_haar(qg)[0]).max() <= 1e-15
+
+
+@pytest.mark.parametrize("batch", [catalog._DELTA_BATCH, 1])
+@pytest.mark.parametrize("group", [
+    lambda: cyclic_group(16), lambda: cyclic_group(48), lambda: symmetric_group(3),
+], ids=["C16", "C48", "S3"])
+def test_group_algebra_comultiplication_matches_the_one_shot_product(monkeypatch, batch, group):
+    monkeypatch.setattr(catalog, "_DELTA_BATCH", batch)  # a few first-factor rows, or one
+    qg = group_algebra(group())
+    want = ref_group_algebra_comul(qg)
+    if qg.dim ** 3 <= batch:
+        assert np.array_equal(qg.comul_kron, want)
+    assert np.abs(qg.comul_kron - want).max() <= 1e-15
+
+
+def _traced_peak(call):
+    """What ``call()`` returns, its peak of traced allocations and what it still holds, in bytes."""
+    tracemalloc.start()
+    try:
+        out = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak, held
+
+
+@pytest.mark.parametrize("build", [
+    lambda: function_algebra(cyclic_group(64)),
+    lambda: group_algebra(cyclic_group(64)),
+], ids=["F(C64)", "C[C64]"])
+def test_haar_solve_transient_stays_near_d_squared(build):
+    # the full SVD held the (D^2, D) system and its U factor: 8.3 MiB at D = 64
+    qg = build()
+    _, peak, _ = _traced_peak(qg._solve_haar)
+    assert peak < 2 * 2 ** 20
+
+
+def test_group_algebra_build_peaks_near_what_the_entry_holds():
+    # the one-shot build peaked at 4.6 times the entry: delta_cols, its product, the SVD's U
+    group = cyclic_group(64)
+    group_algebra(group)  # the irrep table and lazy imports are cached before tracing
+    qg, peak, held = _traced_peak(lambda: group_algebra(group))
+    assert held >= qg.comul_kron.nbytes
+    assert peak <= 2.5 * held
+
+
+@pytest.mark.parametrize("build", [cyclic_group, dihedral_group, symmetric_group])
+@pytest.mark.parametrize("n, message", [
+    (True, "^n = True is a boolean, not an integer$"),
+    (np.True_, "^n = np.True_ is a boolean, not an integer$"),
+    (4.0, "^n = 4.0 is not an integer$"),
+    ("3", "^n = '3' is not an integer$"),
+], ids=["True", "np.True_", "4.0", "'3'"])
+def test_group_constructors_refuse_an_order_that_is_not_an_integer(build, n, message):
+    # cyclic_group(4.0) raised TypeError: 'float' object cannot be interpreted as an integer
+    with pytest.raises(GroupValidationError, match=message):
+        build(n)
+
+
+def test_group_constructors_take_numpy_integers():
+    assert cyclic_group(np.int64(4)).order == 4
+    assert dihedral_group(np.int32(3)).order == 6
+    assert symmetric_group(np.int64(3)).order == 6
