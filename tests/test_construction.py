@@ -174,10 +174,11 @@ def _cyclic_cases():
                 (both, ("unitary", 0))]
 
 
-@pytest.mark.parametrize("batch", [groups._LAW_BATCH, 1, 20])
+@pytest.mark.parametrize("batch", [groups._LAW_BATCH, 1, 20, 1 << 16])
 @pytest.mark.parametrize("cases", [_s3_cases, _cyclic_cases], ids=["S3", "C5"])
 def test_representation_defect_matches_the_element_loop(monkeypatch, batch, cases):
-    monkeypatch.setattr(groups, "_LAW_BATCH", batch)  # one element per chunk, a few, all
+    # the default, one element per chunk, a few, and every element in one chunk
+    monkeypatch.setattr(groups, "_LAW_BATCH", batch)
     group, reps = cases()
     for mats, expected in reps:
         assert ref_representation_defect(group, mats, 1e-9) == expected
@@ -186,7 +187,7 @@ def test_representation_defect_matches_the_element_loop(monkeypatch, batch, case
         assert found is None or type(found[1]) is int
 
 
-@pytest.mark.parametrize("batch", [groups._LAW_BATCH, 1, 20])
+@pytest.mark.parametrize("batch", [groups._LAW_BATCH, 1, 20, 1 << 16])
 @pytest.mark.parametrize("cases", [_s3_cases, _cyclic_cases], ids=["S3", "C5"])
 def test_representation_defect_of_a_stack_lists_each_result(monkeypatch, batch, cases):
     # one pass over all the cases of one shape gives each case's own first defect
