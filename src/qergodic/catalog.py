@@ -64,13 +64,14 @@ def function_algebra(group):
     elems = np.arange(n)
     inverse = np.asarray(group.inverse)
     # delta^s |-> sum_t delta^(s t^-1) (x) delta^t: row (s t^-1, t), column s
-    dk = np.zeros((n * n, n))
+    dk = np.zeros((n * n, n), dtype=complex)
     dk[group.cayley[:, inverse] * n + elems, elems[:, None]] = 1.0
     eps = np.zeros(n)
     eps[group.identity] = 1.0
     counit = LinearFunctional(structure, eps)
-    smat = np.zeros((n, n))
+    smat = np.zeros((n, n), dtype=complex)
     smat[inverse, elems] = 1.0
+    dk.flags.writeable = smat.flags.writeable = False  # read-only: stored without a copy
     try:
         irreps = irreps_for(group)
     except GroupValidationError:  # no bundled table for this group
@@ -107,8 +108,10 @@ def group_algebra(group, irreps=None):
         cols = (basis[start:stop, None, :] * basis[None, :, :]).reshape(-1, D)
         np.matmul(cols, basis_inv, out=comul[start * D:stop * D])
     counit = LinearFunctional(structure, np.linalg.solve(basis.T, np.ones(D)))
+    smat = basis[:, group.inverse] @ basis_inv
+    comul.flags.writeable = smat.flags.writeable = False  # read-only: stored without a copy
     return FiniteQuantumGroup(
-        structure, comul, counit, basis[:, group.inverse] @ basis_inv,
+        structure, comul, counit, smat,
         label=f"C[{group.label}]",
         realization=DualRealization(group, irreps, basis, basis_inv),
     )
@@ -314,5 +317,6 @@ def kac_paljutkin():
         eps[f] = _complex(entry["counit"])
         for k, pair in enumerate(entry["antipode"]):
             smat[k, f] = _complex(pair)
+    dk.flags.writeable = smat.flags.writeable = False  # read-only: stored without a copy
     return FiniteQuantumGroup(structure, dk, LinearFunctional(structure, eps), smat,
                               label="Kac-Paljutkin")

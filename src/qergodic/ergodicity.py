@@ -37,8 +37,6 @@ from .tolerances import (
     COMMUTATOR_TOL,
     ERGODIC_TV_TOL,
     GAP_DECAY_TARGET,
-    IDEMPOTENCE_TOL,
-    IMPLIED_IDENTITY_TOL,
     KERNEL_TOL,
     PERIPHERAL_TOL,
     PROJECTION_EQ_TOL,
@@ -51,18 +49,15 @@ from .tolerances import (
 from .walks import (
     WalkState,
     _cesaro_limit,
+    _idempotent_support,
     _null_space,
     _orbit,
     _require_integer,
     _tv_to_haar,
-    cesaro_limit,
-    convolve,
     eigenvalues,
     settled_power,
     spectrum_peripheral,
     stochastic_operator,
-    support_projection,
-    total_variation,
 )
 
 
@@ -107,16 +102,7 @@ class ErgodicityVerdict:
 
 def is_idempotent_state(phi):
     """phi = phi * phi; when true, the density must be p / haar(p) for a group-like p."""
-    if total_variation(convolve(phi, phi), phi) > IDEMPOTENCE_TOL:
-        return False
-    group = phi.group
-    p = support_projection(phi)
-    expected = p * (1.0 / group.haar(p).real)
-    if (phi.density - expected).norm_inf() > IMPLIED_IDENTITY_TOL:
-        raise ClassificationError("idempotent state density is not p / haar(p)")
-    if not group.is_group_like_projection(p):
-        raise ClassificationError("idempotent state support is not group-like")
-    return True
+    return _idempotent_support(phi) is not None
 
 
 def _fixed_point_projections(group, T):
@@ -192,7 +178,7 @@ def is_irreducible(nu):
 def cyclic_partition(nu, d):
     """Construct and verify the T-cyclic partition of unity for a period-d walk.
 
-    p_0 is the support of the Cesaro limit of nu^(*d); the remaining
+    p_0 is the support of the Cesaro limit of nu^(*d), taken from T^d; the remaining
     projections are its images under T: p_{d-1} = T(p_0), p_{d-2} = T(p_{d-1}),
     and so on, each snapped to the sum of its spectral projections above 1/2.
     The defining invariants, T^d(p_1) = p_1 among them, are checked on the
@@ -208,8 +194,7 @@ def _cyclic_partition(nu, T, d):
     group = nu.group
     st = group.structure
     Td = np.linalg.matrix_power(T, d)
-    phi = WalkState.from_functional_coeffs(group, Td.T @ group.counit.coeffs, check=nu.checked)
-    _, p0 = cesaro_limit(phi)
+    _, p0 = _cesaro_limit(group, Td)  # T^d is the stochastic operator of nu^(*d)
     chain = [p0.coords()]
     for _ in range(d - 1):
         raw = T @ chain[-1]
@@ -402,11 +387,12 @@ def baraquin_check(nu):
 
 
 def quasi_subgroup_is_subgroup(group, p):
-    """A quasi-subgroup is a subgroup iff its group-like projection is central."""
+    """A quasi-subgroup is a subgroup iff its group-like projection is central, block by block."""
     if not group.is_group_like_projection(p):
         raise DomainError("centrality test expects a group-like projection")
-    st = group.structure
-    basis = np.eye(st.dim, dtype=complex)
-    ps = np.broadcast_to(p.coords(), basis.shape)
-    return bool(np.all(norms_inf(st, products(st, ps, basis) - products(st, basis, ps))
-                       <= COMMUTATOR_TOL))
+    x = p.coords()
+    scalar = np.zeros_like(x)
+    for n, _, idx in group.structure.size_classes:
+        diag = idx[:, np.arange(n), np.arange(n)]  # (m, n): the diagonal of each block
+        scalar[diag] = x[diag].mean(axis=1, keepdims=True)
+    return bool(2 * norms_inf(group.structure, x - scalar) <= COMMUTATOR_TOL)

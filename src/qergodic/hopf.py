@@ -30,7 +30,6 @@ from .blocks import (
 from .groups import FiniteGroup, GroupValidationError, subgroups
 from .tolerances import (
     CENSUS_NULL_RTOL,
-    EXACT_DEFECT_TOL,
     HAAR_NULL_RTOL,
     HAAR_WEIGHT_FLOOR,
     IMPLIED_IDENTITY_TOL,
@@ -294,10 +293,6 @@ class FiniteQuantumGroup:
 
     # -- group-like projections -------------------------------------------------
 
-    def group_like_residual(self, p):
-        """Operator norm of Delta(p)(1 (x) p) - p (x) p."""
-        return self.split.from_kron_coords(self._group_like_defect_batch(p.coords())[0]).norm_inf()
-
     def _group_like_defect_batch(self, coords):
         """Coordinates of Delta(p)(1 (x) p) - p (x) p for a batch of candidate coords.
 
@@ -340,10 +335,11 @@ class FiniteQuantumGroup:
         return cols, np.concatenate([terms.real, terms.imag], axis=1)
 
     def is_group_like_projection(self, p):
-        """Test Delta(p)(1 (x) p) = p (x) p for a projection p."""
+        """Test Delta(p)(1 (x) p) = p (x) p, in operator norm, for a projection p."""
         if not is_projection(p, PROJECTION_EQ_TOL):
             raise DomainError("group-likeness is defined for projections")
-        if self.group_like_residual(p) > PROJECTION_EQ_TOL:
+        defect = self.split.from_kron_coords(self._group_like_defect_batch(p.coords())[0])
+        if defect.norm_inf() > PROJECTION_EQ_TOL:
             return False
         # consequences of group-likeness; numeric failure here is a bug
         if abs(self.counit(p) - 1.0) > IMPLIED_IDENTITY_TOL:
@@ -391,7 +387,7 @@ class FiniteQuantumGroup:
                 elif c:
                     base[off:off + 4:3] = 1.0  # the unit of the block
             if not spheres:
-                if np.linalg.norm(self._group_like_defect_batch(base)[0]) <= EXACT_DEFECT_TOL:
+                if np.linalg.norm(self._group_like_defect_batch(base)[0]) <= PROJECTION_EQ_TOL:
                     found.append(base)
                 continue
             cols, terms = self._defect_terms(base, spheres)
@@ -428,8 +424,10 @@ class FiniteQuantumGroup:
 
 
 def _structure_matrix(name, matrix, shape):
-    """A read-only, C-contiguous complex copy of ``matrix``; a wrong shape is refused by name."""
-    matrix = np.array(matrix, dtype=complex, order="C")
+    """``matrix`` read-only, C-contiguous and complex, copied unless it is so and owns its data."""
+    if not (isinstance(matrix, np.ndarray) and matrix.dtype == complex and matrix.flags.owndata
+            and matrix.flags.c_contiguous and not matrix.flags.writeable):
+        matrix = np.array(matrix, dtype=complex, order="C")
     if matrix.shape != shape:
         raise StructuralError(f"{name} has shape {matrix.shape}, expected {shape}")
     matrix.flags.writeable = False

@@ -39,12 +39,10 @@ HAAR_NULL_RTOL = 1e-10
 STRUCTURE_TOL = 1e-9
 # each Haar block weight must exceed this, or the Haar state is not faithful: chosen
 HAAR_WEIGHT_FLOOR = 1e-12
-# two projections are equal, and a projection is group-like, within this: chosen
+# projections are equal, and group-like (the census gates a Frobenius defect), within this: chosen
 PROJECTION_EQ_TOL = 1e-8
 # identities a passed gate implies (counit(p) = 1, S(p) = p, density p / h(p)); failure is a bug
 IMPLIED_IDENTITY_TOL = 1e-7
-# group-like defect of a census choice with no rank-1 block, whose entries are 0 or 1: chosen
-EXACT_DEFECT_TOL = 1e-10
 # census singular values at most this times the largest are null: chosen; measured 7e-16 vs 0.26
 CENSUS_NULL_RTOL = 1e-9
 
@@ -89,7 +87,7 @@ TRIVIAL_CHAR_TOL = 1e-12
 CHARACTER_SPAN_TOL = 1e-9
 # Baraquin: ergodic when |f_a| < d_a - this for every non-trivial a: chosen
 COEFF_MARGIN = 1e-9
-# a group-like projection is central when it commutes with each basis element to this: chosen
+# p is central when 2 ||p_k - (tr p_k / n_k) I|| <= this per block; it bounds ||[p, E_ij]||: chosen
 COMMUTATOR_TOL = 1e-9
 
 # -- the CLI's experiment probes ---------------------------------------------------

@@ -29,6 +29,7 @@ from .blocks import (
 from .tolerances import (
     AGREEMENT_TOL,
     IDEMPOTENCE_TOL,
+    IMPLIED_IDENTITY_TOL,
     KERNEL_TOL,
     MONOTONE_SLACK,
     PERIPHERAL_TOL,
@@ -281,7 +282,7 @@ def distances_to_random(nu, kmax):
     for first in range(1, kmax + 1, chunk):
         orbit = _orbit(step, coeffs, min(chunk, kmax + 1 - first) + 1)
         stack, coeffs = orbit[:-1], orbit[-1]
-        l1, l2, qsd = lp_norms(st, stack[:, st.star_perm] / group.haar_coord_weights - unit,
+        l1, l2, qsd = lp_norms(st, densities_from_functionals(group, stack) - unit,
                                group.haar_weights)
         tv = 0.5 * l1
         if nu.checked:
@@ -352,8 +353,8 @@ def cesaro_limit(nu):
 
     Computed twice -- spectral projection onto eigenvalue 1, and powers of
     the averaged operator (I + T)/2 -- and the two must agree within
-    ``AGREEMENT_TOL``.  The limit is verified idempotent and its support
-    group-like.
+    ``AGREEMENT_TOL``.  The limit is verified idempotent, with density
+    p / haar(p) for its group-like support p (:func:`_idempotent_support`).
     """
     return _cesaro_limit(nu.group, stochastic_operator(nu))
 
@@ -370,12 +371,25 @@ def _cesaro_limit(group, T):
     if np.abs(c_spec - c_iter).max() > AGREEMENT_TOL:
         raise NumericError("spectral and iterative Cesaro limits disagree")
     limit = WalkState.from_functional_coeffs(group, c_spec, check=True, label="cesaro limit")
-    support = support_projection(limit)
-    if total_variation(convolve(limit, limit), limit) > IDEMPOTENCE_TOL:
+    support = _idempotent_support(limit)
+    if support is None:
         raise NumericError("Cesaro limit is not idempotent")
-    if not group.is_group_like_projection(support):
-        raise NumericError("Cesaro support is not group-like")
     return limit, support
+
+
+def _idempotent_support(phi):
+    """The support p of phi when phi * phi = phi (within ``IDEMPOTENCE_TOL``), else None.
+
+    The density must then be p / haar(p) with p group-like, or NumericError is raised.
+    """
+    if total_variation(convolve(phi, phi), phi) > IDEMPOTENCE_TOL:
+        return None
+    p = support_projection(phi)
+    if (phi.density - p * (1.0 / phi.group.haar(p).real)).norm_inf() > IMPLIED_IDENTITY_TOL:
+        raise NumericError("idempotent state density is not p / haar(p)")
+    if not phi.group.is_group_like_projection(p):
+        raise NumericError("idempotent state support is not group-like")
+    return p
 
 
 def spectrum_peripheral(T):

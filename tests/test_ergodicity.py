@@ -30,9 +30,16 @@ from qergodic.ergodicity import (
     zhang_criterion,
 )
 from qergodic.hopf import UnsupportedError
-from qergodic.groups import cyclic_group, permutation_matrices, subgroups, symmetric_group
+from qergodic.groups import (
+    cyclic_group,
+    normal_subgroups,
+    permutation_matrices,
+    subgroups,
+    symmetric_group,
+)
 from qergodic.walks import (
     NumericError,
+    _cesaro_limit,
     _tv_to_haar,
     cesaro_limit,
     convolution_power,
@@ -55,6 +62,7 @@ from qergodic.tolerances import (
 )
 
 from classical_oracle import classify_weights
+from test_hopf import dihedral5_dual
 
 RNG = np.random.default_rng(55)
 
@@ -159,10 +167,11 @@ def test_cyclic_partition_classical_parity(f_s3, s3):
 
 def _cyclic_partition_by_element(nu, d):
     # the element-by-element transcription the stacked checks replaced, ending with
-    # the T^d(p_1) = p_1 check that classify made after it
+    # the T^d(p_1) = p_1 check that classify made after it; p_0 comes as the library
+    # takes it, from the Cesaro limit of T^d
     group = nu.group
     T = stochastic_operator(nu)
-    _, p0 = cesaro_limit(convolution_power(nu, d))
+    _, p0 = _cesaro_limit(group, np.linalg.matrix_power(T, d))
 
     def clean(raw):
         out = group.structure.zero()
@@ -205,20 +214,27 @@ def _cyclic_partition_by_element(nu, d):
 
 
 def test_stacked_cyclic_partition_matches_element_by_element(f_s3, f_c4, perm_state, kp):
-    walks = [
-        (classical_state(f_s3, ("uniform", ["(12)", "(13)", "(23)"])), 2),
-        (classical_state(f_c4, ("point", 1)), 4),
-        (classical_state(function_algebra(cyclic_group(6)), ("point", 1)), 6),
-        (perm_state, 2),
-        (kp_pure_state(kp, 4, bloch_vector(0.8, 1.1)), 2),
+    walks = [  # (walk, period, largest distance of p_0 from the nu^(*d) route)
+        (classical_state(f_s3, ("uniform", ["(12)", "(13)", "(23)"])), 2, 0.0),
+        (classical_state(f_c4, ("point", 1)), 4, 0.0),
+        (classical_state(function_algebra(cyclic_group(6)), ("point", 1)), 6, 0.0),
+        (perm_state, 2, 1e-14),
+        (kp_pure_state(kp, 4, bloch_vector(0.8, 1.1)), 2, 0.0),
     ]
-    for nu, d in walks:
+    for nu, d, moved in walks:
         loop = [p.coords().tobytes() for p in _cyclic_partition_by_element(nu, d)]
         verdict = classify(nu)
         assert verdict.tag == "periodic"
         for part in (verdict.partition, cyclic_partition(nu, d)):
             assert part.period == d
             assert [p.coords().tobytes() for p in part.projections] == loop
+        # p_0 once came from the Cesaro limit of the state nu^(*d), with its own T
+        _, p0 = cesaro_limit(convolution_power(nu, d))
+        ours = verdict.partition.projections[0].coords()
+        if moved:
+            assert np.abs(ours - p0.coords()).max() <= moved
+        else:
+            assert ours.tobytes() == p0.coords().tobytes()
 
 
 @pytest.mark.parametrize("d", [3, 8])
@@ -306,11 +322,11 @@ def test_classify_builds_the_stochastic_operator_once(monkeypatch, f_s3, kp, two
     for module in (walks, ergodicity):
         monkeypatch.setattr(module, "stochastic_operator", counting_build)
         monkeypatch.setattr(module, "convolution_power", no_power, raising=False)
-    # a periodic walk builds T twice while its partition takes the Cesaro limit of nu^(*d)
+    # a periodic walk's partition takes its p_0 from T^d, not from a second T
     for name, (nu, tag) in _tv_walks(f_s3, kp, twodim_state).items():
         built.clear()
         assert classify(nu).tag == tag, name
-        assert len(built) == (2 if tag == "periodic" else 1), name
+        assert len(built) == 1, name
         built.clear()
         is_irreducible(nu)
         assert len(built) == 1, name
@@ -615,10 +631,18 @@ def test_array_checks_match_element_by_element(dual_s3, kp, s3, perm_state, twod
                 witness = tuple(H)
                 break
         assert freslon_check(u).witness == witness
-    for entry in (dual_s3, kp):
+    # the commutators with the basis are the reference for the block-by-block centrality
+    # test; on a group algebra, chi_H is central exactly when H is normal
+    for entry in (dual_s3, kp, function_algebra(symmetric_group(4)),
+                  group_algebra(cyclic_group(12)), dihedral5_dual(),
+                  dihedral5_dual(diagonal=True)):
+        flags = []
         for p in entry.find_group_like_projections():
             central = all((p * b - b * p).norm_inf() <= 1e-9 for b in entry.structure.basis())
-            assert quasi_subgroup_is_subgroup(entry, p) == central
+            flags.append(quasi_subgroup_is_subgroup(entry, p))
+            assert flags[-1] == central, entry.label
+        if isinstance(entry.realization, DualRealization):
+            assert sum(flags) == len(normal_subgroups(entry.realization.group)), entry.label
 
 
 def test_s4_optional_oracle_agreement():
