@@ -29,7 +29,6 @@ from .ergodicity import (
     classify,
     cyclic_partition,
     freslon_check,
-    is_idempotent_state,
     is_irreducible,
     quasi_subgroup_is_subgroup,
     zhang_criterion,
@@ -45,6 +44,7 @@ from .walks import (
     distances_to_random,
     eigenvalues,
     haar_state,
+    idempotent_support,
     random_state,
     spectrum_peripheral,
     stochastic_operator,

@@ -29,7 +29,7 @@ import numbers
 
 import numpy as np
 
-from .tolerances import CLUSTER_TOL, POSITIVITY_TOL
+from .tolerances import CLUSTER_TOL, COMMUTATOR_TOL, POSITIVITY_TOL
 
 
 class ShapeError(ValueError):
@@ -469,6 +469,16 @@ def is_positive(a, tol=POSITIVITY_TOL):
 
 def is_projection(a, tol=POSITIVITY_TOL):
     return a._hermitian_defect() <= tol and (a - a * a).norm_inf() <= tol
+
+
+def is_central(a):
+    """Whether every block a_k is a scalar: 2 ||a_k - (tr a_k / n_k) I|| <= ``COMMUTATOR_TOL``."""
+    x = a.coords()
+    scalar = np.zeros_like(x)
+    for n, _, idx in a.structure.size_classes:
+        diag = idx[:, np.arange(n), np.arange(n)]  # (m, n): the diagonal of each block
+        scalar[diag] = x[diag].mean(axis=1, keepdims=True)
+    return bool(2 * norms_inf(a.structure, x - scalar) <= COMMUTATOR_TOL)
 
 
 def spectral_decomposition(a):

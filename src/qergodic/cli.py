@@ -409,7 +409,7 @@ def cmd_grouplikes(qgroup, state, args):
     for p in projections:
         entries.append({
             "coords": _coords_json(p),
-            "central": ergodicity.quasi_subgroup_is_subgroup(qgroup, p),
+            "central": blocks.is_central(p),  # p is group-like, as the census verified
             "haar_mass": _fmt(qgroup.haar(p).real),
         })
     payload = {"schema": SCHEMA_VERSION, "count": len(entries), "projections": entries}

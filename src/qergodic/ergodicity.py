@@ -21,6 +21,7 @@ from .blocks import (
     cluster_projections,
     eighs,
     hermitian_part,
+    is_central,
     norms_inf,
     products,
     spectral_clusters,
@@ -34,7 +35,6 @@ from .tolerances import (
     CHARACTER_SPAN_TOL,
     CHARACTER_TOL,
     COEFF_MARGIN,
-    COMMUTATOR_TOL,
     ERGODIC_TV_TOL,
     GAP_DECAY_TARGET,
     KERNEL_TOL,
@@ -48,12 +48,11 @@ from .tolerances import (
 )
 from .walks import (
     WalkState,
-    _cesaro_limit,
-    _idempotent_support,
     _null_space,
     _orbit,
     _require_integer,
     _tv_to_haar,
+    cesaro_limit,
     eigenvalues,
     settled_power,
     spectrum_peripheral,
@@ -98,11 +97,6 @@ class ErgodicityVerdict:
     @property
     def ergodic(self):
         return self.tag == "ergodic"
-
-
-def is_idempotent_state(phi):
-    """phi = phi * phi; when true, the density must be p / haar(p) for a group-like p."""
-    return _idempotent_support(phi) is not None
 
 
 def _fixed_point_projections(group, T):
@@ -157,7 +151,7 @@ def is_irreducible(nu):
     """
     group = nu.group
     T = stochastic_operator(nu)
-    _, support = _cesaro_limit(group, T)
+    _, support = cesaro_limit(group, T)
     route_a = bool((support - group.unit).norm_inf() <= PROJECTION_EQ_TOL)
 
     fixed = _fixed_point_projections(group, T)
@@ -175,8 +169,8 @@ def is_irreducible(nu):
     return IrreducibilityResult(route_a, support, fixed)
 
 
-def cyclic_partition(nu, d):
-    """Construct and verify the T-cyclic partition of unity for a period-d walk.
+def cyclic_partition(nu, T, d):
+    """Construct and verify the T-cyclic partition of unity for a period-d walk; T is T_nu.
 
     p_0 is the support of the Cesaro limit of nu^(*d), taken from T^d; the remaining
     projections are its images under T: p_{d-1} = T(p_0), p_{d-2} = T(p_{d-1}),
@@ -187,14 +181,10 @@ def cyclic_partition(nu, d):
     _require_integer("d", d)
     if d < 2:
         raise ValueError("cyclic partitions need d >= 2")
-    return _cyclic_partition(nu, stochastic_operator(nu), d)
-
-
-def _cyclic_partition(nu, T, d):
     group = nu.group
     st = group.structure
     Td = np.linalg.matrix_power(T, d)
-    _, p0 = _cesaro_limit(group, Td)  # T^d is the stochastic operator of nu^(*d)
+    _, p0 = cesaro_limit(group, Td)  # T^d is the stochastic operator of nu^(*d)
     chain = [p0.coords()]
     for _ in range(d - 1):
         raw = T @ chain[-1]
@@ -231,7 +221,7 @@ def classify(nu):
     """
     group = nu.group
     T = stochastic_operator(nu)
-    _, support = _cesaro_limit(group, T)
+    _, support = cesaro_limit(group, T)
     evals, peripheral = spectrum_peripheral(T)
     ks = (1, 2, 4, 8)
     tv_samples = list(zip(ks, _tv_to_haar(nu, T, ks)))
@@ -261,7 +251,7 @@ def classify(nu):
         )
 
     return ErgodicityVerdict(
-        "periodic", partition=_cyclic_partition(nu, T, len(peripheral)),
+        "periodic", partition=cyclic_partition(nu, T, len(peripheral)),
         peripheral=peripheral, spectrum=evals, cesaro_support=support, tv_samples=tv_samples,
     )
 
@@ -390,9 +380,4 @@ def quasi_subgroup_is_subgroup(group, p):
     """A quasi-subgroup is a subgroup iff its group-like projection is central, block by block."""
     if not group.is_group_like_projection(p):
         raise DomainError("centrality test expects a group-like projection")
-    x = p.coords()
-    scalar = np.zeros_like(x)
-    for n, _, idx in group.structure.size_classes:
-        diag = idx[:, np.arange(n), np.arange(n)]  # (m, n): the diagonal of each block
-        scalar[diag] = x[diag].mean(axis=1, keepdims=True)
-    return bool(2 * norms_inf(group.structure, x - scalar) <= COMMUTATOR_TOL)
+    return is_central(p)

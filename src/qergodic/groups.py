@@ -359,32 +359,18 @@ def s3_irreps(group):
 
 
 def s3_standard_integral(group):
-    """The integer (non-unitary) form of the standard representation of S3.
+    """The integer (non-unitary) form of the standard representation of S3, a (6, 2, 2) array.
 
-    Generated by (12) |-> [[-1, 1], [0, 1]] and (123) |-> [[0, -1], [1, -1]];
-    GL(2, Z)-valued, so not usable in an IrrepTable, but needed to rebuild
-    pure-state coefficient sets quoted in that form.
+    The permutation representation on the sum-zero lattice, written in its
+    basis e1 - e2, e2 - e3: (12) |-> [[-1, 1], [0, 1]] and (123) |-> [[0, -1],
+    [1, -1]].  GL(2, Z)-valued, so not usable in an IrrepTable, but needed to
+    rebuild pure-state coefficient sets quoted in that form.
     """
     if group.perms is None or group.order != 6:
         raise GroupValidationError("expected the symmetric group S3")
-    gen = {
-        "(12)": np.array([[-1.0, 1.0], [0.0, 1.0]]),
-        "(123)": np.array([[0.0, -1.0], [1.0, -1.0]]),
-    }
-    e = group.index_of("e")
-    mats = {e: np.eye(2)}
-    frontier = [e]
-    gen_idx = {group.index_of(k): v for k, v in gen.items()}
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for gi, gm in gen_idx.items():
-                h = group.mul(gi, g)
-                if h not in mats:
-                    mats[h] = gm @ mats[g]
-                    nxt.append(h)
-        frontier = nxt
-    return [mats[g] for g in range(group.order)]
+    lattice = np.array([[1.0, 0.0], [-1.0, 1.0], [0.0, -1.0]])
+    # the entries are integers; rounding clears the pseudo-inverse's roundoff, + 0.0 its -0.0
+    return np.round(np.linalg.pinv(lattice) @ permutation_matrices(group) @ lattice) + 0.0
 
 
 def irreps_for(group):

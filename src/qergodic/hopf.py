@@ -71,7 +71,7 @@ class HopfAxiomReport:
 
 
 class FiniteQuantumGroup:
-    """Block structure plus comultiplication, counit, antipode; Haar data cached.
+    """Block structure plus comultiplication, counit, antipode, and the Haar data.
 
     ``comul`` is the (D^2, D) matrix whose row s D + t, column f holds the
     coefficient of e_s (x) e_t in Delta(e_f), kept as ``comul_kron``;
@@ -80,6 +80,13 @@ class FiniteQuantumGroup:
     ``realization`` optionally records how the entry was built (classical
     function algebra, group algebra, ...) so that criteria needing that extra
     data can find it.
+
+    With ``validate`` (the default) the constructor solves the Haar data once
+    and sets them as attributes -- ``haar``, ``haar_weights`` (per block),
+    ``haar_coord_weights`` (per coordinate) and ``haar_element`` -- and raises
+    StructuralError for maps that define no quantum group.  With
+    ``validate=False`` it holds only the maps, for :meth:`verify_axioms` and
+    :meth:`character_group` on maps that may be broken.
     """
 
     def __init__(self, structure, comul, counit, antipode, label="",
@@ -97,36 +104,9 @@ class FiniteQuantumGroup:
         self.label = label or f"quantum group on {structure.dims}"
         self.realization = realization
         self.unit = structure.unit()
-        self._haar_data = None
-        self._haar_element = None
         if validate:
-            # fill the Haar caches now so instances can be shared freely
-            self._haar_data = self._solve_haar()
-            self._haar_element = self._find_haar_element()
-
-    def _haar_solution(self):
-        if self._haar_data is None:
-            self._haar_data = self._solve_haar()
-        return self._haar_data
-
-    @property
-    def haar(self):
-        return self._haar_solution()[0]
-
-    @property
-    def haar_weights(self):
-        return self._haar_solution()[1]
-
-    @property
-    def haar_coord_weights(self):
-        """The Haar weight of each coordinate's block: a length-D vector."""
-        return self._haar_solution()[2]
-
-    @property
-    def haar_element(self):
-        if self._haar_element is None:
-            self._haar_element = self._find_haar_element()
-        return self._haar_element
+            self.haar, self.haar_weights, self.haar_coord_weights = self._solve_haar()
+            self.haar_element = self._find_haar_element()
 
     # -- basic derived data -------------------------------------------------
 
@@ -398,7 +378,11 @@ class FiniteQuantumGroup:
 
         found = [self.structure.from_coords(coords) for coords in found]
         for p in found:
-            if not (is_projection(p, PROJECTION_EQ_TOL) and self.is_group_like_projection(p)):
+            try:
+                group_like = self.is_group_like_projection(p)
+            except DomainError:  # not a projection
+                group_like = False
+            if not group_like:
                 raise UnsupportedError("census candidate is not a group-like projection")
             if self.haar(p).real <= 0:
                 raise StructuralError("group-like projection with nonpositive Haar mass")

@@ -59,10 +59,6 @@ def densities_from_functionals(group, coeffs):
     return coeffs.take(group.structure.star_perm, axis=-1) / group.haar_coord_weights
 
 
-def density_from_functional(group, coeffs):
-    return group.structure.from_coords(densities_from_functionals(group, coeffs))
-
-
 def _require_integer(what, value):
     """Refuse ``value`` by name unless it is an integer; a boolean is not."""
     if isinstance(value, (bool, np.bool_)):
@@ -128,7 +124,8 @@ class WalkState:
         # NaN and inf are refused, formal states too, ahead of the conversion that would spread them
         if density is None:
             _require_finite(functional.coeffs, "functional coefficient")
-            density = density_from_functional(group, functional.coeffs)
+            density = group.structure.from_coords(
+                densities_from_functionals(group, functional.coeffs))
         else:
             _require_finite(density.coords(), "density coordinate")
             functional = LinearFunctional(
@@ -225,22 +222,30 @@ def convolution_power(nu, k):
         return counit_state(nu.group)
     if k == 1:
         return nu
-    group = nu.group
-    T = stochastic_operator(nu)
-    tk = np.linalg.matrix_power(T, k)
-    return WalkState.from_functional_coeffs(group, tk.T @ group.counit.coeffs, check=nu.checked)
+    coeffs = _power_coeffs(nu.group, stochastic_operator(nu), k)
+    return WalkState.from_functional_coeffs(nu.group, coeffs, check=nu.checked)
+
+
+def _power_coeffs(group, T, ks):
+    """The functionals eps T^k = nu^(*k) for T = T_nu, refused if not finite.
+
+    ``ks`` is one k, giving a (D,) row, or a sequence, giving a (len(ks), D) stack.
+    """
+    eps = group.counit.coeffs
+    powers = np.array([np.linalg.matrix_power(T, k).T @ eps for k in np.ravel(ks)])
+    powers = powers.reshape(np.shape(ks) + (group.dim,))
+    _require_finite(powers, "functional coefficient")
+    return powers
 
 
 def _tv_to_haar(nu, T, ks):
     """TV from nu^(*k) to the Haar state for each k >= 1 of ``ks``; ``T`` is T_nu.
 
-    The rows eps T^k, k > 1, are :func:`convolution_power`'s, refused if not
-    finite and checked as one stack when nu is checked; row k = 1 is nu's density.
+    The rows eps T^k, k > 1, come from :func:`_power_coeffs` and are checked as
+    one stack when nu is checked; row k = 1 is nu's density.
     """
     group = nu.group
-    powers = np.array([np.linalg.matrix_power(T, k).T @ group.counit.coeffs
-                       for k in ks if k > 1]).reshape(-1, group.dim)
-    _require_finite(powers, "functional coefficient")
+    powers = _power_coeffs(group, T, [k for k in ks if k > 1])
     densities = densities_from_functionals(group, powers)
     if nu.checked:
         check_states(group, densities, powers)
@@ -348,18 +353,14 @@ def settled_power(M):
     )
 
 
-def cesaro_limit(nu):
-    """Limit of (1/n) sum nu^(*k) and the support of the limit.
+def cesaro_limit(group, T):
+    """Limit of (1/n) sum nu^(*k) and the support of the limit, for T = T_nu.
 
     Computed twice -- spectral projection onto eigenvalue 1, and powers of
     the averaged operator (I + T)/2 -- and the two must agree within
     ``AGREEMENT_TOL``.  The limit is verified idempotent, with density
-    p / haar(p) for its group-like support p (:func:`_idempotent_support`).
+    p / haar(p) for its group-like support p (:func:`idempotent_support`).
     """
-    return _cesaro_limit(nu.group, stochastic_operator(nu))
-
-
-def _cesaro_limit(group, T):
     P_spec = _cesaro_spectral(T)
     # the spectrum of (I + T)/2 sits strictly inside the unit disc except at
     # 1, so its powers converge to the eigenvalue-1 projection even for
@@ -371,13 +372,13 @@ def _cesaro_limit(group, T):
     if np.abs(c_spec - c_iter).max() > AGREEMENT_TOL:
         raise NumericError("spectral and iterative Cesaro limits disagree")
     limit = WalkState.from_functional_coeffs(group, c_spec, check=True, label="cesaro limit")
-    support = _idempotent_support(limit)
+    support = idempotent_support(limit)
     if support is None:
         raise NumericError("Cesaro limit is not idempotent")
     return limit, support
 
 
-def _idempotent_support(phi):
+def idempotent_support(phi):
     """The support p of phi when phi * phi = phi (within ``IDEMPOTENCE_TOL``), else None.
 
     The density must then be p / haar(p) with p group-like, or NumericError is raised.

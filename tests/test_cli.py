@@ -383,6 +383,31 @@ def test_grouplikes_kp(tmp_path):
     assert central.count(False) >= 2
 
 
+def test_grouplikes_tests_each_projection_once(tmp_path, monkeypatch):
+    # the census verifies each of KP's 8 projections group-like, and that test is
+    # the only projection test; the centrality column makes neither test again
+    from qergodic import hopf
+
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(hopf, "is_projection", counting("projection", hopf.is_projection))
+    monkeypatch.setattr(hopf.FiniteQuantumGroup, "is_group_like_projection",
+                        counting("group-like", hopf.FiniteQuantumGroup.is_group_like_projection))
+    cfg = {"schema": 1, "group": {"kac_paljutkin": {}},
+           "state": {"density": [1] * 4 + [1, 0, 0, 1]}}
+    code, out = run_cli(tmp_path, "grouplikes", cfg)
+    assert code == 0
+    assert json.loads((out / "grouplikes.json").read_text())["count"] == 8
+    assert calls.count("group-like") == 8
+    assert calls.count("projection") == 8
+
+
 def test_grouplikes_up_to_the_subgroup_bound(tmp_path, capsys):
     # F(C32): 2^32 0/1 choices on its 1x1 blocks, 6 subgroups; F(C65): past the
     # order-64 bound of subgroup enumeration, a refusal rather than a traceback

@@ -24,7 +24,6 @@ from qergodic.ergodicity import (
     classify,
     cyclic_partition,
     freslon_check,
-    is_idempotent_state,
     is_irreducible,
     quasi_subgroup_is_subgroup,
     zhang_criterion,
@@ -39,12 +38,12 @@ from qergodic.groups import (
 )
 from qergodic.walks import (
     NumericError,
-    _cesaro_limit,
     _tv_to_haar,
     cesaro_limit,
     convolution_power,
     counit_state,
     haar_state,
+    idempotent_support,
     random_state,
     stochastic_operator,
     support_projection,
@@ -68,11 +67,13 @@ RNG = np.random.default_rng(55)
 
 
 def test_idempotent_states(f_s3, dual_s3, s3):
-    assert is_idempotent_state(haar_state(f_s3))
-    assert is_idempotent_state(counit_state(f_s3))
-    assert not is_idempotent_state(classical_state(f_s3, ("point", "(12)")))
+    # the support of an idempotent state is its group-like projection
+    assert (idempotent_support(haar_state(f_s3)) - f_s3.unit).norm_inf() < 1e-9
+    assert (idempotent_support(counit_state(f_s3)) - f_s3.haar_element).norm_inf() < 1e-9
+    assert idempotent_support(classical_state(f_s3, ("point", "(12)"))) is None
     for H in subgroups(s3):
-        assert is_idempotent_state(dual_subgroup_state(dual_s3, list(H)))
+        support = idempotent_support(dual_subgroup_state(dual_s3, list(H)))
+        assert (support - chi_subgroup(dual_s3, list(H))).norm_inf() < 1e-9
 
 
 def test_irreducible_dual_perm_walk(perm_state):
@@ -145,7 +146,7 @@ def test_stacked_reachability_projections_match_element_by_element(f_s3, dual_s3
 
 
 def test_cyclic_partition_dual_perm(perm_state, dual_s3, s3):
-    part = cyclic_partition(perm_state, 2)
+    part = cyclic_partition(perm_state, stochastic_operator(perm_state), 2)
     chi = chi_subgroup(dual_s3, [0, s3.index_of("(12)")])
     assert part.period == 2
     assert (part.projections[0] - chi).norm_inf() < 1e-8
@@ -156,7 +157,7 @@ def test_cyclic_partition_dual_perm(perm_state, dual_s3, s3):
 
 def test_cyclic_partition_classical_parity(f_s3, s3):
     nu = classical_state(f_s3, ("uniform", ["(12)", "(13)", "(23)"]))
-    part = cyclic_partition(nu, 2)
+    part = cyclic_partition(nu, stochastic_operator(nu), 2)
     even = np.zeros(6)
     even[[0, s3.index_of("(123)"), s3.index_of("(132)")]] = 1.0
     assert np.abs(part.projections[0].coords() - even).max() < 1e-8
@@ -171,7 +172,7 @@ def _cyclic_partition_by_element(nu, d):
     # takes it, from the Cesaro limit of T^d
     group = nu.group
     T = stochastic_operator(nu)
-    _, p0 = _cesaro_limit(group, np.linalg.matrix_power(T, d))
+    _, p0 = cesaro_limit(group, np.linalg.matrix_power(T, d))
 
     def clean(raw):
         out = group.structure.zero()
@@ -225,11 +226,11 @@ def test_stacked_cyclic_partition_matches_element_by_element(f_s3, f_c4, perm_st
         loop = [p.coords().tobytes() for p in _cyclic_partition_by_element(nu, d)]
         verdict = classify(nu)
         assert verdict.tag == "periodic"
-        for part in (verdict.partition, cyclic_partition(nu, d)):
+        for part in (verdict.partition, cyclic_partition(nu, stochastic_operator(nu), d)):
             assert part.period == d
             assert [p.coords().tobytes() for p in part.projections] == loop
         # p_0 once came from the Cesaro limit of the state nu^(*d), with its own T
-        _, p0 = cesaro_limit(convolution_power(nu, d))
+        _, p0 = cesaro_limit(nu.group, stochastic_operator(convolution_power(nu, d)))
         ours = verdict.partition.projections[0].coords()
         if moved:
             assert np.abs(ours - p0.coords()).max() <= moved
@@ -241,10 +242,11 @@ def test_stacked_cyclic_partition_matches_element_by_element(f_s3, f_c4, perm_st
 def test_cyclic_partition_refuses_a_wrong_period(f_c4, d):
     # the point mass at 1 on F(C4) has period 4
     nu = classical_state(f_c4, ("point", 1))
-    for build in (cyclic_partition, _cyclic_partition_by_element):
+    for build in (lambda: cyclic_partition(nu, stochastic_operator(nu), d),
+                  lambda: _cyclic_partition_by_element(nu, d)):
         with pytest.raises(ClassificationError,
                            match="^cyclic projections do not sum to the unit$"):
-            build(nu, d)
+            build()
 
 
 @pytest.mark.parametrize("d, message", [
@@ -256,12 +258,12 @@ def test_cyclic_partition_refuses_a_wrong_period(f_c4, d):
 def test_cyclic_partition_refuses_a_period_that_is_not_an_integer(f_c4, d, message):
     nu = classical_state(f_c4, ("point", 1))
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        cyclic_partition(nu, d)
+        cyclic_partition(nu, stochastic_operator(nu), d)
 
 
 def test_cyclic_partition_takes_a_numpy_integer_period(f_c4):
     nu = classical_state(f_c4, ("point", 1))
-    assert cyclic_partition(nu, np.int64(4)).period == 4
+    assert cyclic_partition(nu, stochastic_operator(nu), np.int64(4)).period == 4
 
 
 def _tv_by_loop(nu, ks):
@@ -309,27 +311,37 @@ def test_tv_samples_equal_the_per_power_loop(f_s3, kp, twodim_state):
 def test_classify_builds_the_stochastic_operator_once(monkeypatch, f_s3, kp, twodim_state):
     from qergodic import ergodicity, walks
 
-    built = []
-    build = walks.stochastic_operator
+    calls = []
 
-    def counting_build(state):
-        built.append(state)
-        return build(state)
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
 
     def no_power(nu, k):
         raise AssertionError("classify took a convolution power")
 
+    wrapped = {name: counting(name, getattr(walks, name))
+               for name in ("stochastic_operator", "cesaro_limit")}
     for module in (walks, ergodicity):
-        monkeypatch.setattr(module, "stochastic_operator", counting_build)
+        for name, wrapper in wrapped.items():
+            monkeypatch.setattr(module, name, wrapper)
         monkeypatch.setattr(module, "convolution_power", no_power, raising=False)
-    # a periodic walk's partition takes its p_0 from T^d, not from a second T
+    monkeypatch.setattr(ergodicity, "cyclic_partition",
+                        counting("cyclic_partition", ergodicity.cyclic_partition))
+    # each stage runs through its one public function, with the T that classify built;
+    # a periodic walk's partition takes its p_0 from the Cesaro limit of T^d, not from a second T
     for name, (nu, tag) in _tv_walks(f_s3, kp, twodim_state).items():
-        built.clear()
+        calls.clear()
         assert classify(nu).tag == tag, name
-        assert len(built) == 1, name
-        built.clear()
+        periodic = tag == "periodic"
+        assert calls.count("stochastic_operator") == 1, name
+        assert calls.count("cesaro_limit") == 1 + periodic, name
+        assert calls.count("cyclic_partition") == periodic, name
+        calls.clear()
         is_irreducible(nu)
-        assert len(built) == 1, name
+        assert calls == ["stochastic_operator", "cesaro_limit"], name
 
 
 def test_classify_twodim_ergodic(twodim_state):

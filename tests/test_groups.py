@@ -274,6 +274,24 @@ def test_s3_irreps():
     assert np.isclose(chi[0], 2) and np.isclose(chi[1], 0) and np.isclose(chi[4], -1)
 
 
+def _s3_integral_by_search(group):
+    """The integral standard representation generated from its images of (12) and (123)."""
+    gens = {group.index_of("(12)"): np.array([[-1.0, 1.0], [0.0, 1.0]]),
+            group.index_of("(123)"): np.array([[0.0, -1.0], [1.0, -1.0]])}
+    mats = {group.index_of("e"): np.eye(2)}
+    frontier = list(mats)
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for gi, gm in gens.items():
+                h = group.mul(gi, g)
+                if h not in mats:
+                    mats[h] = gm @ mats[g]
+                    nxt.append(h)
+        frontier = nxt
+    return [mats[g] for g in range(group.order)]
+
+
 def test_s3_standard_integral_matches_homomorphism():
     s3 = symmetric_group(3)
     mats = s3_standard_integral(s3)
@@ -281,6 +299,9 @@ def test_s3_standard_integral_matches_homomorphism():
         for h in range(6):
             assert np.abs(mats[g] @ mats[h] - mats[s3.mul(g, h)]).max() < 1e-12
     assert np.abs(mats[s3.index_of("(12)")] - np.array([[-1, 1], [0, 1]])).max() < 1e-12
+    assert np.abs(mats[s3.index_of("(123)")] - np.array([[0, -1], [1, -1]])).max() < 1e-12
+    # the closed form is bitwise the breadth-first search over the generators, signs of zero too
+    assert [m.tobytes() for m in mats] == [m.tobytes() for m in _s3_integral_by_search(s3)]
 
 
 def test_irreps_for_unknown_group():

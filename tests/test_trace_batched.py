@@ -26,7 +26,7 @@ def reference_trace(nu, kmax):
     coeffs = nu.functional.coeffs
     prev_tv = prev_qsd = None
     for k in range(1, kmax + 1):
-        diff = walks.density_from_functional(group, coeffs) - unit
+        diff = group.structure.from_coords(walks.densities_from_functionals(group, coeffs)) - unit
         l1, l2, qsd = lp_norms(group.structure, diff.coords(), group.haar_weights)
         tv = 0.5 * l1
         if nu.checked and prev_tv is not None:

@@ -457,14 +457,14 @@ def test_support_null_space_cross_check(kp, dual_s3):
 
 def test_cesaro_limit_of_ergodic_walk(f_s3):
     nu = classical_state(f_s3, ("weights", {"e": 0.3, "(12)": 0.4, "(123)": 0.3}))
-    limit, support = cesaro_limit(nu)
+    limit, support = cesaro_limit(f_s3, stochastic_operator(nu))
     assert total_variation(limit, haar_state(f_s3)) < 1e-9
     assert (support - f_s3.unit).norm_inf() < 1e-9
 
 
 def test_cesaro_limit_c4_point2(f_c4):
     nu = classical_state(f_c4, ("point", 2))
-    limit, support = cesaro_limit(nu)
+    limit, support = cesaro_limit(f_c4, stochastic_operator(nu))
     expected = classical_state(f_c4, ("uniform", [0, 2]))
     assert total_variation(limit, expected) < 1e-9
     target = np.array([1.0, 0.0, 1.0, 0.0])
@@ -474,10 +474,10 @@ def test_cesaro_limit_c4_point2(f_c4):
 def test_cesaro_limit_of_periodic_dual_walk(dual_s3, perm_state, s3):
     # the walk is irreducible, so its own Cesaro limit is the Haar state;
     # the chi projection shows up as the Cesaro support of the squared walk
-    limit, support = cesaro_limit(perm_state)
+    limit, support = cesaro_limit(dual_s3, stochastic_operator(perm_state))
     assert total_variation(limit, haar_state(dual_s3)) < 1e-9
     assert (support - dual_s3.unit).norm_inf() < 1e-9
-    _, support2 = cesaro_limit(convolution_power(perm_state, 2))
+    _, support2 = cesaro_limit(dual_s3, stochastic_operator(convolution_power(perm_state, 2)))
     chi = chi_subgroup(dual_s3, [0, s3.index_of("(12)")])
     assert (support2 - chi).norm_inf() < 1e-8
 
