@@ -29,7 +29,13 @@ import numbers
 
 import numpy as np
 
-from .tolerances import CLUSTER_TOL, COMMUTATOR_TOL, POSITIVITY_TOL
+from .tolerances import (
+    CLUSTER_TOL,
+    COMMUTATOR_TOL,
+    POSITIVITY_TOL,
+    PROJECTION_EQ_TOL,
+    SUPPORT_CUTOFF,
+)
 
 
 class ShapeError(ValueError):
@@ -226,8 +232,8 @@ class AlgebraElement:
             self._eig = eigs
         return self._eig
 
-    def is_hermitian(self, tol=POSITIVITY_TOL):
-        return self._hermitian_defect() <= tol
+    def is_hermitian(self):
+        return self._hermitian_defect() <= POSITIVITY_TOL
 
     def __repr__(self):
         return f"AlgebraElement(dims={self.structure.dims})"
@@ -270,8 +276,8 @@ def eighs(structure, x):
     return tuple([_eigh(x.take(idx, axis=-1)) for _, _, idx in structure.size_classes])
 
 
-def positive_rows(structure, x, eigs=None, defects=None, tol=POSITIVITY_TOL):
-    """Whether each row is Hermitian within ``tol`` with all block eigenvalues >= -tol.
+def positive_rows(structure, x, eigs=None, defects=None):
+    """Whether each row is Hermitian with block eigenvalues >= 0, both within ``POSITIVITY_TOL``.
 
     ``eigs`` and ``defects`` are :func:`eighs` and :func:`hermitian_defects`
     of ``x`` when the caller has them already.
@@ -279,7 +285,7 @@ def positive_rows(structure, x, eigs=None, defects=None, tol=POSITIVITY_TOL):
     eigs = eighs(structure, x) if eigs is None else eigs
     defects = hermitian_defects(structure, x) if defects is None else defects
     lowest = functools.reduce(np.minimum, [vals.min((-2, -1)) for vals, _ in eigs])
-    return (defects <= tol) & (lowest >= -tol)
+    return (defects <= POSITIVITY_TOL) & (lowest >= -POSITIVITY_TOL)
 
 
 def _ranked_eigenvalues(eigs):
@@ -366,18 +372,20 @@ def projection_sums(proj, keep):
     return np.concatenate([zero, kept], axis=-2).cumsum(axis=-2)[..., -1, :]
 
 
-def supports_of_positive(structure, x, tol=POSITIVITY_TOL, eigs=None, defects=None):
-    """Range projection of each row: the sum of its spectral projections with eigenvalue > tol.
+def supports_of_positive(structure, x, cutoff, eigs=None, defects=None):
+    """Sum of each row's spectral projections with eigenvalue above ``cutoff``.
 
-    Raises DomainError unless every row is positive (see :func:`positive_rows`).
+    That is the range projection for ``SUPPORT_CUTOFF``; the cyclic partition
+    snaps at ``PARTITION_SNAP``.  Raises DomainError unless every row is
+    positive (see :func:`positive_rows`), whatever the cutoff.
     """
     eigs = eighs(structure, x) if eigs is None else eigs
-    positive = positive_rows(structure, x, eigs, defects, tol)
+    positive = positive_rows(structure, x, eigs, defects)
     if np.count_nonzero(positive) < positive.size:
         raise DomainError("support is defined for positive elements only")
     cluster, means = spectral_clusters(eigs)
     return projection_sums(cluster_projections(structure, eigs, cluster, means.shape[-1]),
-                           means > tol)
+                           means > cutoff)
 
 
 def _singular_values(stack):
@@ -460,15 +468,15 @@ def hermitian_part(a):
     return (a + a.adjoint()) * 0.5
 
 
-def is_positive(a, tol=POSITIVITY_TOL):
-    """Hermitian within ``tol`` and all block eigenvalues >= -tol."""
-    if not a.is_hermitian(tol):
-        return False
-    return bool(positive_rows(a.structure, a.coords(), a._eighs(), a._hermitian_defect(), tol))
+def is_positive(a):
+    """Hermitian with block eigenvalues >= 0, both within ``POSITIVITY_TOL``."""
+    return bool(positive_rows(a.structure, a.coords(), a._eighs(), a._hermitian_defect()))
 
 
-def is_projection(a, tol=POSITIVITY_TOL):
-    return a._hermitian_defect() <= tol and (a - a * a).norm_inf() <= tol
+def is_projection(a):
+    """||a - a*|| and ||a - a a|| both at most ``PROJECTION_EQ_TOL``."""
+    return (a._hermitian_defect() <= PROJECTION_EQ_TOL
+            and (a - a * a).norm_inf() <= PROJECTION_EQ_TOL)
 
 
 def is_central(a):
@@ -498,11 +506,11 @@ def spectral_decomposition(a):
     return [(float(lam), AlgebraElement._own(st, p)) for lam, p in zip(means, proj)]
 
 
-def support_of_positive(a, tol=POSITIVITY_TOL):
-    """Range projection of a positive element: sum of spectral projections with eigenvalue > tol."""
+def support_of_positive(a):
+    """Range projection of a positive element: its spectral projections above ``SUPPORT_CUTOFF``."""
     st = a.structure
     return AlgebraElement._own(
-        st, supports_of_positive(st, a.coords(), tol, a._eighs(), a._hermitian_defect()))
+        st, supports_of_positive(st, a.coords(), SUPPORT_CUTOFF, a._eighs(), a._hermitian_defect()))
 
 
 def abs_element(a):

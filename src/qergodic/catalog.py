@@ -25,7 +25,7 @@ from .groups import (
     representation_defect,
 )
 from .hopf import FiniteQuantumGroup, StructuralError
-from .tolerances import INPUT_NORM_TOL, POSITIVITY_TOL, USER_REP_TOL, WEIGHT_SIGN_TOL
+from .tolerances import INPUT_NORM_TOL, USER_REP_TOL, WEIGHT_SIGN_TOL
 from .walks import WalkState, _require_integer
 
 _DELTA_BATCH = 16384  # entries per block of rows of C[G]'s Delta: 256 KiB of complex
@@ -243,7 +243,7 @@ def dual_state_from_values(dual, values, check=True, label=""):
         values[group.inv(t)] * real.basis[:, t] for t in range(group.order)
     )
     density = dual.structure.from_coords(density_coords)
-    if check and not is_positive(density, POSITIVITY_TOL):
+    if check and not is_positive(density):
         raise ValueError("the given values are not a positive-definite function")
     return WalkState(dual, density=density, check=check, label=label or "dual state")
 

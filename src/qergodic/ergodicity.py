@@ -38,6 +38,7 @@ from .tolerances import (
     ERGODIC_TV_TOL,
     GAP_DECAY_TARGET,
     KERNEL_TOL,
+    PARTITION_SNAP,
     PERIPHERAL_TOL,
     PROJECTION_EQ_TOL,
     REACH_MASS_FLOOR,
@@ -50,6 +51,7 @@ from .walks import (
     WalkState,
     _null_space,
     _orbit,
+    _power_coeffs,
     _require_integer,
     _tv_to_haar,
     cesaro_limit,
@@ -174,7 +176,7 @@ def cyclic_partition(nu, T, d):
 
     p_0 is the support of the Cesaro limit of nu^(*d), taken from T^d; the remaining
     projections are its images under T: p_{d-1} = T(p_0), p_{d-2} = T(p_{d-1}),
-    and so on, each snapped to the sum of its spectral projections above 1/2.
+    and so on, each snapped to the sum of its spectral projections above ``PARTITION_SNAP``.
     The defining invariants, T^d(p_1) = p_1 among them, are checked on the
     (d, D) stack of the projections before returning.
     """
@@ -188,7 +190,7 @@ def cyclic_partition(nu, T, d):
     chain = [p0.coords()]
     for _ in range(d - 1):
         raw = T @ chain[-1]
-        chain.append(supports_of_positive(st, (raw + adjoints(st, raw)) * 0.5, 0.5))
+        chain.append(supports_of_positive(st, (raw + adjoints(st, raw)) * 0.5, PARTITION_SNAP))
         if norms_inf(st, chain[-1] - raw) > PROJECTION_EQ_TOL:
             raise ClassificationError("operator image is not a projection")
     P = np.array(chain[:1] + chain[:0:-1])  # chain[j] = p_{d-j}; reorder to p_0..p_{d-1}
@@ -216,15 +218,16 @@ def classify(nu):
     Reducibility is decided first from the Cesaro support; for irreducible
     walks the peripheral spectrum of the stochastic operator fixes the period.
     An Ergodic verdict is additionally verified empirically by driving the
-    total variation distance below ``ERGODIC_TV_TOL`` at a step count set by the spectral gap.
-    T is built once, and every stage reads it.
+    total variation distance below ``ERGODIC_TV_TOL`` at a step count k set by
+    the spectral gap, on nu^(*k) formed as h + eps (T - P)^k.  T is built once,
+    and every stage reads it.
     """
     group = nu.group
     T = stochastic_operator(nu)
     _, support = cesaro_limit(group, T)
     evals, peripheral = spectrum_peripheral(T)
     ks = (1, 2, 4, 8)
-    tv_samples = list(zip(ks, _tv_to_haar(nu, T, ks)))
+    tv_samples = list(zip(ks, _tv_to_haar(nu, ks, _power_coeffs(group, T, ks[1:]))))
 
     if (support - group.unit).norm_inf() > PROJECTION_EQ_TOL:
         if abs(nu.expect(support) - 1.0) > PROJECTION_EQ_TOL:
@@ -240,7 +243,11 @@ def classify(nu):
             k_star = 1
         else:
             k_star = min(int(np.ceil(np.log(GAP_DECAY_TARGET) / np.log(gap_lambda))) + 1, 2 ** 50)
-        [tv_far] = _tv_to_haar(nu, T, (k_star,))
+        # nu^(*k) = h + eps (T - P)^k for P(x) = h(x) 1, as T P = P T = P P = P: the powers of
+        # T - P decay, where the eigenvalue-1 part of T^k carries about k eps of roundoff
+        deflated = T - np.outer(group.unit.coords(), group.haar.coeffs)
+        far = _power_coeffs(group, deflated, [k_star] if k_star > 1 else [])
+        [tv_far] = _tv_to_haar(nu, (k_star,), group.haar.coeffs + far)
         if tv_far > ERGODIC_TV_TOL:
             raise ClassificationError(
                 f"spectral gap promises convergence but TV at k={k_star} is {tv_far:.2e}"

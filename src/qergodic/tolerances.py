@@ -39,7 +39,7 @@ HAAR_NULL_RTOL = 1e-10
 STRUCTURE_TOL = 1e-9
 # each Haar block weight must exceed this, or the Haar state is not faithful: chosen
 HAAR_WEIGHT_FLOOR = 1e-12
-# projections are equal, and group-like (the census gates a Frobenius defect), within this: chosen
+# p = p* = p^2, projections are equal, and a group-like defect's Frobenius norm, within this: chosen
 PROJECTION_EQ_TOL = 1e-8
 # identities a passed gate implies (counit(p) = 1, S(p) = p, density p / h(p)); failure is a bug
 IMPLIED_IDENTITY_TOL = 1e-7
@@ -64,6 +64,8 @@ MONOTONE_SLACK = 1e-10
 PERIPHERAL_TOL = 1e-9
 # each peripheral eigenvalue matches a d-th root of unity to this: chosen, looser than the cut
 ROOT_OF_UNITY_TOL = 1e-7
+# the cyclic partition snaps T(p) to its spectral projections above this: halfway from 0 to 1
+PARTITION_SNAP = 0.5
 
 # -- the verdict and the partial criteria ------------------------------------------
 

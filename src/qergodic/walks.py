@@ -33,7 +33,6 @@ from .tolerances import (
     KERNEL_TOL,
     MONOTONE_SLACK,
     PERIPHERAL_TOL,
-    POSITIVITY_TOL,
     ROOT_OF_UNITY_TOL,
     SEMISIMPLE_COND_MAX,
     SETTLE_STEP_FLOOR,
@@ -89,7 +88,7 @@ def check_states(group, densities, functionals, eigs=None, defects=None):
     st = group.structure
     eigs = eighs(st, densities) if eigs is None else eigs
     defects = hermitian_defects(st, densities) if defects is None else defects
-    positive = positive_rows(st, densities, eigs, defects, POSITIVITY_TOL)
+    positive = positive_rows(st, densities, eigs, defects)
     normalized = abs(group.haar.values(densities) - 1.0) <= STATE_NORM_TOL
     unital = abs(functionals @ group.unit.coords() - 1.0) <= STATE_NORM_TOL
     ok = positive & normalized & unital
@@ -226,26 +225,26 @@ def convolution_power(nu, k):
     return WalkState.from_functional_coeffs(nu.group, coeffs, check=nu.checked)
 
 
-def _power_coeffs(group, T, ks):
-    """The functionals eps T^k = nu^(*k) for T = T_nu, refused if not finite.
+def _power_coeffs(group, M, ks):
+    """The functionals eps M^k, refused if not finite: nu^(*k) for M = T_nu.
 
     ``ks`` is one k, giving a (D,) row, or a sequence, giving a (len(ks), D) stack.
     """
     eps = group.counit.coeffs
-    powers = np.array([np.linalg.matrix_power(T, k).T @ eps for k in np.ravel(ks)])
+    powers = np.array([np.linalg.matrix_power(M, k).T @ eps for k in np.ravel(ks)])
     powers = powers.reshape(np.shape(ks) + (group.dim,))
     _require_finite(powers, "functional coefficient")
     return powers
 
 
-def _tv_to_haar(nu, T, ks):
-    """TV from nu^(*k) to the Haar state for each k >= 1 of ``ks``; ``T`` is T_nu.
+def _tv_to_haar(nu, ks, powers):
+    """TV from nu^(*k) to the Haar state for each k >= 1 of ``ks``.
 
-    The rows eps T^k, k > 1, come from :func:`_power_coeffs` and are checked as
-    one stack when nu is checked; row k = 1 is nu's density.
+    ``powers`` holds the functionals nu^(*k) of the k > 1 of ``ks``, in order,
+    as :func:`_power_coeffs` forms them; they are checked as one stack when
+    nu is checked.  Row k = 1 is nu's density.
     """
     group = nu.group
-    powers = _power_coeffs(group, T, [k for k in ks if k > 1])
     densities = densities_from_functionals(group, powers)
     if nu.checked:
         check_states(group, densities, powers)
@@ -304,7 +303,7 @@ def support_projection(state):
     """Smallest projection p with nu(p) = 1: the range projection of the density."""
     if not state.checked:
         raise DomainError("support projections are defined for genuine states")
-    return support_of_positive(state.density, SUPPORT_CUTOFF)
+    return support_of_positive(state.density)
 
 
 def _null_space(matrix):

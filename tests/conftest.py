@@ -46,6 +46,11 @@ def catalog_all(f_s3, dual_s3, kp):
     return entries
 
 
+def projection_defects(p):
+    """(||p - p*||, ||p - p p||): both at most tol is what a projection test at tol checks."""
+    return (p - p.adjoint()).norm_inf(), (p - p * p).norm_inf()
+
+
 def perm_rep_matrices(group):
     mats = []
     for p in group.perms:

@@ -17,7 +17,11 @@ from qergodic.blocks import (
     random_positive,
     spectral_decomposition,
     support_of_positive,
+    supports_of_positive,
 )
+from qergodic.tolerances import PARTITION_SNAP, SUPPORT_CUTOFF
+
+from conftest import projection_defects
 
 RNG = np.random.default_rng(12345)
 
@@ -80,14 +84,14 @@ def test_is_positive():
         assert is_positive(a.adjoint() * a)
     st = BlockStructure([2, 1])
     p = st.element([np.diag([1.0, 0.0]), np.zeros((1, 1))])
-    assert is_projection(p)
+    assert max(projection_defects(p)) <= 1e-9
     assert not is_positive(st.unit() - 2 * p)  # eigenvalue -1
 
 
 def test_is_projection():
     for st in STRUCTURES:
-        assert is_projection(st.zero())
-        assert is_projection(st.unit())
+        assert is_projection(st.zero()) and max(projection_defects(st.zero())) <= 1e-9
+        assert is_projection(st.unit()) and max(projection_defects(st.unit())) <= 1e-9
         assert not is_projection(0.5 * st.unit())
 
 
@@ -108,7 +112,7 @@ def test_spectral_reconstruction_bulk():
         worst = max(worst, (recon - a).norm_inf())
         assert (total - st.unit()).norm_inf() < 1e-12
         for j, (_, p) in enumerate(parts):
-            assert is_projection(p, 1e-10)
+            assert max(projection_defects(p)) <= 1e-10
             for _, q in parts[j + 1:]:
                 assert (p * q).norm_inf() < 1e-10
     assert worst <= 1e-10
@@ -150,6 +154,23 @@ def test_support_of_positive():
         r = support_of_positive(sq)
         assert (r * sq - sq).norm_inf() < 1e-9
         assert (sq * r - sq).norm_inf() < 1e-9
+
+
+def test_support_gates_positivity_at_one_threshold_whatever_the_cutoff():
+    # the cutoff picks the eigenvalues that span the support; whether the element is positive
+    # is POSITIVITY_TOL's alone, so neither the support cutoff nor the partition's 1/2 snap
+    # lets a negative eigenvalue through
+    st = BlockStructure([2, 1])
+    for lowest, cutoff in ((-5e-9, SUPPORT_CUTOFF), (-0.3, PARTITION_SNAP)):
+        x = st.element([np.diag([1.0, lowest]), np.ones((1, 1))])
+        assert not is_positive(x)
+        with pytest.raises(DomainError, match="positive elements only"):
+            supports_of_positive(st, x.coords(), cutoff)
+        with pytest.raises(DomainError, match="positive elements only"):
+            support_of_positive(x)
+    x = st.element([np.diag([1.0, -5e-10]), np.ones((1, 1))])  # within POSITIVITY_TOL
+    support = st.element([np.diag([1.0, 0.0]), np.ones((1, 1))]).coords()
+    assert np.array_equal(supports_of_positive(st, x.coords(), SUPPORT_CUTOFF), support)
 
 
 def test_abs_element_hermitian_route():
@@ -273,7 +294,7 @@ def test_element_caches_one_eigh_per_size_class(kp, monkeypatch):
     # the state's positivity check, then the positivity check and spectral decomposition of
     # support_of_positive, share one eigendecomposition per size class: four 1x1, one 2x2
     assert calls == [(4, 1, 1), (1, 2, 2)]
-    assert is_projection(p, 1e-8)
+    assert is_projection(p)
 
     # an element made by arithmetic starts empty and computes its own
     scaled = density * 1.0

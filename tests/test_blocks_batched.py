@@ -232,4 +232,4 @@ def test_stacks_match_row_by_row(dims, seed, rows):
             assert np.array_equal(proj[i, k], p.coords())
         p = structure.from_coords(pos[i])
         assert positive[i] and is_positive(p)
-        assert np.array_equal(supports[i], support_of_positive(p, 1e-8).coords())
+        assert np.array_equal(supports[i], support_of_positive(p).coords())

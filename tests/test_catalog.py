@@ -25,7 +25,7 @@ from qergodic.groups import (
 )
 from qergodic.walks import convolve, counit_state, haar_state, total_variation
 
-from conftest import perm_rep_matrices
+from conftest import perm_rep_matrices, projection_defects
 
 RNG = np.random.default_rng(31)
 
@@ -145,7 +145,7 @@ def test_permutation_rep_state_values(perm_state, dual_s3, s3):
                 "(123)": -0.5, "(132)": -0.5}
     for name, val in expected.items():
         assert abs(values[s3.index_of(name)] - val) < 1e-12
-    assert is_positive(perm_state.density, 1e-9)
+    assert is_positive(perm_state.density)
 
 
 def test_twodim_quoted_coefficients(twodim_state, dual_s3, s3):
@@ -324,12 +324,12 @@ def test_kp_pure_states_are_states(kp):
         assert abs(nu.expect(kp.unit) - 1.0) < 1e-12
     xi = np.array([0.6, 0.8j])
     nu = kp_pure_state(kp, 4, xi)
-    assert is_positive(nu.density, 1e-9)
+    assert is_positive(nu.density)
     # pure state support is a minimal projection in the M2 block
     from qergodic.walks import support_projection
 
     p = support_projection(nu)
-    assert is_projection(p, 1e-8)
+    assert is_projection(p)
     assert abs(np.trace(p.blocks[4]).real - 1.0) < 1e-8
 
 
@@ -373,7 +373,7 @@ def test_half_difference_of_deltas_is_projection(dual_s3, s3):
     p = dual_s3.structure.from_coords(
         0.5 * (real.basis[:, 0] - real.basis[:, s3.index_of("(12)")])
     )
-    assert is_projection(p, 1e-12)
+    assert max(projection_defects(p)) <= 1e-12
     chi = chi_subgroup(dual_s3, [0, s3.index_of("(12)")])
     assert (p - (dual_s3.unit - chi)).norm_inf() < 1e-12
 

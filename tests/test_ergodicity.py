@@ -4,13 +4,14 @@ import time
 import numpy as np
 import pytest
 
-from qergodic.blocks import DomainError, hermitian_part, is_projection, spectral_decomposition
+from qergodic.blocks import DomainError, hermitian_part, spectral_decomposition
 from qergodic.catalog import (
     ClassicalRealization,
     DualRealization,
     bloch_vector,
     chi_subgroup,
     classical_state,
+    dual_state_from_values,
     dual_subgroup_state,
     function_algebra,
     group_algebra,
@@ -38,6 +39,7 @@ from qergodic.groups import (
 )
 from qergodic.walks import (
     NumericError,
+    _power_coeffs,
     _tv_to_haar,
     cesaro_limit,
     convolution_power,
@@ -61,6 +63,7 @@ from qergodic.tolerances import (
 )
 
 from classical_oracle import classify_weights
+from conftest import projection_defects
 from test_hopf import dihedral5_dual
 
 RNG = np.random.default_rng(55)
@@ -114,7 +117,7 @@ def test_three_routes_on_mixed_corpus(f_s3, dual_s3, kp, s3):
         unit = nu.group.unit
         # every listed fixed projection is a T-fixed projection other than 0 and 1
         for p in res.fixed_projections:
-            assert is_projection(p)
+            assert max(projection_defects(p)) <= 1e-9
             assert p.norm_inf() > 0.5 and (unit - p).norm_inf() > 0.5
             assert (p.structure.from_coords(T @ p.coords()) - p).norm_inf() <= KERNEL_TOL
         assert bool(res) == (len(res.fixed_projections) == 0)
@@ -304,7 +307,8 @@ def test_tv_samples_equal_the_per_power_loop(f_s3, kp, twodim_state):
         if tag == "ergodic":
             k_star = _k_star(verdict.spectrum)
             assert (k_star == 1) == (name == "F(C1) point"), name  # F(C1): no power to stack
-            far = _tv_to_haar(nu, stochastic_operator(nu), (k_star,))
+            rows = _power_coeffs(nu.group, stochastic_operator(nu), [k_star] if k_star > 1 else [])
+            far = _tv_to_haar(nu, (k_star,), rows)
             assert [tv.hex() for tv in far] == [tv.hex() for tv in _tv_by_loop(nu, [k_star])]
 
 
@@ -476,6 +480,28 @@ def test_slow_walks_end_promptly(n, weights):
         assert verdict.tag == oracle[0]
         if oracle[0] == "periodic":
             assert verdict.partition.period == oracle[1]
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-7, 1e-8])
+def test_near_periodic_walk_gets_the_oracle_verdict(f_c4, eps):
+    # k_star is 2^50 here; the certificate row h + eps (T - P)^k_star decays, where
+    # eps T^k_star carried about k_star machine epsilons and failed the state check
+    weights = {0: eps, 1: 1 - eps}
+    verdict = classify(classical_state(f_c4, ("weights", weights)))
+    oracle = classify_weights(f_c4.realization.group, np.array([eps, 1 - eps, 0.0, 0.0]), tol=0.0)
+    assert verdict.tag == oracle[0] == "ergodic"
+
+
+@pytest.mark.parametrize("n, weights", [(64, {1: 0.3, 2: 0.7}), (96, {1: 0.5, 2: 0.5})])
+def test_slow_cyclic_dual_gets_the_verdict_of_its_classical_twin(n, weights):
+    # C[C_n] with u(k) = sum_j mu(j) w^(jk) is F(C_n) with mu; k_star is 27,299 and 51,595
+    group = cyclic_group(n)
+    omega = np.exp(2j * np.pi / n)
+    values = [sum(m * omega ** (j * k) for j, m in weights.items()) for k in range(n)]
+    dual = classify(dual_state_from_values(group_algebra(group), values))
+    classical = classify(classical_state(function_algebra(group), ("weights", weights)))
+    assert dual.tag == classical.tag == "ergodic"
+    assert dual.partition is classical.partition is None
 
 
 def test_zhang_slow_walk_refuses_without_overflow(f_c4):

@@ -13,7 +13,6 @@ from qergodic.blocks import (
     BlockStructure,
     DomainError,
     LinearFunctional,
-    is_projection,
     p_norm,
     random_element,
     random_positive,
@@ -34,6 +33,9 @@ from qergodic.hopf import (
     UnsupportedError,
     _moment_vectors,
 )
+from qergodic.tolerances import PROJECTION_EQ_TOL
+
+from conftest import projection_defects
 
 RNG = np.random.default_rng(777)
 
@@ -230,7 +232,7 @@ def test_unit_is_group_like(f_s3, dual_s3, kp):
 def test_chi_H_group_like(dual_s3, s3):
     for H in subgroups(s3):
         chi = chi_subgroup(dual_s3, H)
-        assert is_projection(chi, 1e-10)
+        assert max(projection_defects(chi)) <= 1e-10
         assert dual_s3.is_group_like_projection(chi)
 
 
@@ -239,8 +241,30 @@ def test_non_subgroup_indicator_not_group_like(f_s3, s3):
     for name in ("e", "(12)", "(13)"):
         coords[s3.index_of(name)] = 1.0
     p = f_s3.structure.from_coords(coords)
-    assert is_projection(p)
+    assert max(projection_defects(p)) <= 1e-9
     assert not f_s3.is_group_like_projection(p)
+
+
+def test_group_likeness_gates_the_frobenius_norm_of_the_defect(kp):
+    # a rank-1 group-like projection of KP with its 2x2 block turned by 4e-9 rad: the
+    # defect's operator norm in A (x) A is under PROJECTION_EQ_TOL, its Frobenius norm,
+    # sqrt(5) times larger here, over it; the census gates the Frobenius norm, and so
+    # does is_group_like_projection
+    st = kp.structure
+    block = slice(st.offsets[4], st.offsets[5])
+    p = next(q for q in kp.find_group_like_projections()
+             if abs(np.trace(q.blocks[4]) - 1.0) < 1e-12)
+    theta = 4e-9
+    turn = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    coords = p.coords().copy()
+    coords[block] = (turn @ p.blocks[4] @ turn.T).ravel()
+    turned = st.from_coords(coords)
+    assert max(projection_defects(turned)) <= 1e-15
+    defect = kp._group_like_defect_batch(coords)[0]
+    assert kp.split.from_kron_coords(defect).norm_inf() < PROJECTION_EQ_TOL
+    assert np.linalg.norm(defect) > PROJECTION_EQ_TOL
+    assert not kp.is_group_like_projection(turned)
+    assert kp.is_group_like_projection(p)
 
 
 def test_group_like_requires_projection(f_s3):

@@ -1,3 +1,4 @@
+import ast
 import io
 import re
 import tokenize
@@ -32,3 +33,23 @@ def test_every_tolerance_has_a_reader():
                 read.add(tok.string)
     assert names
     assert sorted(names - read) == []
+
+
+def test_no_parameter_defaults_to_a_tolerance():
+    # a tolerance argument that callers leave at its default is a second name for the constant
+    from qergodic import tolerances
+
+    names = {name for name in vars(tolerances) if name.isupper()}
+    defaulted = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            pairs = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+            pairs += [pair for pair in zip(args.kwonlyargs, args.kw_defaults) if pair[1]]
+            defaulted += [f"{path.name}:{node.lineno}: {arg.arg}" for arg, default in pairs
+                          if getattr(default, "id", getattr(default, "attr", None)) in names]
+    assert SOURCES
+    assert defaulted == []
