@@ -5,12 +5,10 @@ from .blocks import (
     BlockStructure,
     LinearFunctional,
     TensorSplit,
-    abs_element,
     is_positive,
     is_projection,
     p_norm,
     spectral_decomposition,
-    support_of_positive,
 )
 from .catalog import (
     chi_subgroup,

@@ -34,7 +34,6 @@ from .tolerances import (
     COMMUTATOR_TOL,
     POSITIVITY_TOL,
     PROJECTION_EQ_TOL,
-    SUPPORT_CUTOFF,
 )
 
 
@@ -288,6 +287,16 @@ def positive_rows(structure, x, eigs=None, defects=None):
     return (defects <= POSITIVITY_TOL) & (lowest >= -POSITIVITY_TOL)
 
 
+def projection_rows(structure, x, defects=None):
+    """Whether each row has ||a - a*|| and ||a - a a|| both at most ``PROJECTION_EQ_TOL``.
+
+    ``defects`` is :func:`hermitian_defects` of ``x`` when the caller has it already.
+    """
+    defects = hermitian_defects(structure, x) if defects is None else defects
+    idempotence = norms_inf(structure, x - products(structure, x, x))
+    return (defects <= PROJECTION_EQ_TOL) & (idempotence <= PROJECTION_EQ_TOL)
+
+
 def _ranked_eigenvalues(eigs):
     """``(lam, ranked, starts)`` of the rows of :func:`eighs`, as (N, S), (N, S), (N, S - 1).
 
@@ -475,8 +484,7 @@ def is_positive(a):
 
 def is_projection(a):
     """||a - a*|| and ||a - a a|| both at most ``PROJECTION_EQ_TOL``."""
-    return (a._hermitian_defect() <= PROJECTION_EQ_TOL
-            and (a - a * a).norm_inf() <= PROJECTION_EQ_TOL)
+    return bool(projection_rows(a.structure, a.coords(), a._hermitian_defect()))
 
 
 def is_central(a):
@@ -504,30 +512,6 @@ def spectral_decomposition(a):
     cluster, means = spectral_clusters(eigs)
     proj = cluster_projections(st, eigs, cluster, len(means))
     return [(float(lam), AlgebraElement._own(st, p)) for lam, p in zip(means, proj)]
-
-
-def support_of_positive(a):
-    """Range projection of a positive element: its spectral projections above ``SUPPORT_CUTOFF``."""
-    st = a.structure
-    return AlgebraElement._own(
-        st, supports_of_positive(st, a.coords(), SUPPORT_CUTOFF, a._eighs(), a._hermitian_defect()))
-
-
-def abs_element(a):
-    """|a|; from the spectrum of a when a is Hermitian, from a*a otherwise.
-
-    Uses raw per-block eigenvalues (no clustering): merging eigenvalues that
-    straddle zero would silently cancel their contributions to |a|.
-    """
-    def blockwise(elem, transform):
-        out = np.empty(elem.structure.dim, dtype=complex)
-        for (_, _, idx), (vals, vecs) in zip(elem.structure.size_classes, elem._eighs()):
-            out[idx] = (vecs * transform(vals)[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
-        return AlgebraElement._own(elem.structure, out)
-
-    if a.is_hermitian():
-        return blockwise(a, np.abs)
-    return blockwise(a.adjoint() * a, lambda v: np.sqrt(np.clip(v, 0.0, None)))
 
 
 def lp_norms(structure, coords, weights):

@@ -26,6 +26,7 @@ from .blocks import (
     is_projection,
     norms_inf,
     products,
+    projection_rows,
 )
 from .groups import FiniteGroup, GroupValidationError, subgroups
 from .tolerances import (
@@ -267,10 +268,6 @@ class FiniteQuantumGroup:
         }
         return HopfAxiomReport({name: float(v) for name, v in residuals.items()})
 
-    def is_commutative(self):
-        """A direct sum of matrix blocks is commutative exactly when every block is 1x1."""
-        return set(self.structure.dims) == {1}
-
     # -- group-like projections -------------------------------------------------
 
     def _group_like_defect_batch(self, coords):
@@ -314,19 +311,28 @@ class FiniteQuantumGroup:
         terms[pair] = defects[len(cols):] - single[iu[pair]] - single[iv[pair]]
         return cols, np.concatenate([terms.real, terms.imag], axis=1)
 
+    def _group_like_rows(self, coords):
+        """Whether each projection of an (N, D) stack is group-like: Delta(p)(1 (x) p) = p (x) p.
+
+        The one gate of group-likeness: the Frobenius norm of each row's
+        defect in Kronecker order, at most ``PROJECTION_EQ_TOL``.  The rows
+        that pass must have counit value 1 and be fixed by the antipode, as
+        group-likeness implies; a failure there raises StructuralError.
+        """
+        defects = np.linalg.norm(self._group_like_defect_batch(coords), axis=1)
+        group_like = defects <= PROJECTION_EQ_TOL
+        kept = coords[group_like]
+        if np.any(np.abs(self.counit.values(kept) - 1.0) > IMPLIED_IDENTITY_TOL):
+            raise StructuralError("group-like projection with counit value != 1")
+        if np.any(norms_inf(self.structure, kept @ self.antipode.T - kept) > IMPLIED_IDENTITY_TOL):
+            raise StructuralError("group-like projection not fixed by the antipode")
+        return group_like
+
     def is_group_like_projection(self, p):
-        """Test Delta(p)(1 (x) p) = p (x) p in Frobenius norm, as the census does, for projections."""
+        """Whether the projection p is group-like (see :meth:`_group_like_rows`)."""
         if not is_projection(p):
             raise DomainError("group-likeness is defined for projections")
-        if np.linalg.norm(self._group_like_defect_batch(p.coords())[0]) > PROJECTION_EQ_TOL:
-            return False
-        # consequences of group-likeness; numeric failure here is a bug
-        if abs(self.counit(p) - 1.0) > IMPLIED_IDENTITY_TOL:
-            raise StructuralError("group-like projection with counit value != 1")
-        moved = norms_inf(self.structure, self.antipode @ p.coords() - p.coords())
-        if moved > IMPLIED_IDENTITY_TOL:
-            raise StructuralError("group-like projection not fixed by the antipode")
-        return True
+        return bool(self._group_like_rows(p.coords()[None])[0])
 
     def find_group_like_projections(self):
         """Group-like search for blocks of size <= 2, at most two of size 2.
@@ -338,8 +344,11 @@ class FiniteQuantumGroup:
         moment vector m = (1, n_1, ..., n_k) of their Bloch vectors
         (:meth:`_defect_terms`), so the monomials m_u m_v of every solution
         lie in the left null space of its terms, and :func:`_moment_vectors`
-        recovers the solutions from that space.  A candidate that is not a
-        group-like projection makes the census refuse, never miss.
+        recovers the solutions from that space.  The 0/1 choices and the
+        recovered candidates make one stack, which one :meth:`_group_like_rows`
+        call gates: a 0/1 choice that fails is dropped, and a recovered
+        candidate that is not a group-like projection makes the census
+        refuse, never miss.
         """
         dims = self.structure.dims
         if any(n > 2 for n in dims):
@@ -353,7 +362,7 @@ class FiniteQuantumGroup:
         except GroupValidationError as exc:
             raise UnsupportedError(f"group-like search over the character group: {exc}") from exc
 
-        found = []
+        fixed, recovered = [], []  # the 0/1 candidates, then those Jennrich's method recovers
         char_coords = self._character_coords()
         twos = [off for off, n in zip(self.structure.offsets, dims) if n == 2]
         for H, *choice in itertools.product(candidates, *[(0, "s", 2)] * len(twos)):
@@ -366,28 +375,25 @@ class FiniteQuantumGroup:
                 elif c:
                     base[off:off + 4:3] = 1.0  # the unit of the block
             if not spheres:
-                if np.linalg.norm(self._group_like_defect_batch(base)[0]) <= PROJECTION_EQ_TOL:
-                    found.append(base)
+                fixed.append(base)
                 continue
             cols, terms = self._defect_terms(base, spheres)
             u, s, _ = np.linalg.svd(terms)
             null = u[:, np.count_nonzero(s > CENSUS_NULL_RTOL * s[0]):]
             if null.size:
-                found.extend(_moment_vectors(null, len(cols)) @ cols)
+                recovered.extend(_moment_vectors(null, len(cols)) @ cols)
 
-        found = [self.structure.from_coords(coords) for coords in found]
-        for p in found:
-            try:
-                group_like = self.is_group_like_projection(p)
-            except DomainError:  # not a projection
-                group_like = False
-            if not group_like:
-                raise UnsupportedError("census candidate is not a group-like projection")
-            if self.haar(p).real <= 0:
-                raise StructuralError("group-like projection with nonpositive Haar mass")
-        found.sort(key=lambda p: tuple(np.round(p.coords().real, 6))
-                   + tuple(np.round(p.coords().imag, 6)))
-        return found
+        stack = np.array(fixed + recovered)
+        if not projection_rows(self.structure, stack[len(fixed):]).all():
+            raise UnsupportedError("census candidate is not a group-like projection")
+        group_like = self._group_like_rows(stack)
+        if not group_like[len(fixed):].all():
+            raise UnsupportedError("census candidate is not a group-like projection")
+        found = stack[group_like]
+        if np.any(self.haar.values(found).real <= 0):
+            raise StructuralError("group-like projection with nonpositive Haar mass")
+        found = sorted(found, key=lambda c: tuple(np.round(c.real, 6)) + tuple(np.round(c.imag, 6)))
+        return [self.structure.from_coords(coords) for coords in found]
 
     # -- convolution on the algebra ----------------------------------------------
 

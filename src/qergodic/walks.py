@@ -23,7 +23,6 @@ from .blocks import (
     p_norm,
     positive_rows,
     random_positive,
-    support_of_positive,
     supports_of_positive,
 )
 from .tolerances import (
@@ -102,7 +101,15 @@ def check_states(group, densities, functionals, eigs=None, defects=None):
 
 def support_projections(group, densities, functionals):
     """Support projection of each state of the stacks, after :func:`check_states`."""
-    eigs, defects = check_states(group, densities, functionals)
+    return _supports(group, densities, *check_states(group, densities, functionals))
+
+
+def _supports(group, densities, eigs, defects):
+    """Sum of each positive density's spectral projections above ``SUPPORT_CUTOFF``.
+
+    ``eigs`` and ``defects`` are :func:`eighs` and :func:`hermitian_defects`
+    of the densities.
+    """
     return supports_of_positive(group.structure, densities, SUPPORT_CUTOFF, eigs, defects)
 
 
@@ -303,7 +310,9 @@ def support_projection(state):
     """Smallest projection p with nu(p) = 1: the range projection of the density."""
     if not state.checked:
         raise DomainError("support projections are defined for genuine states")
-    return support_of_positive(state.density)
+    f = state.density
+    return f.structure.from_coords(_supports(state.group, f.coords(), f._eighs(),
+                                             f._hermitian_defect()))
 
 
 def _null_space(matrix):

@@ -16,7 +16,6 @@ from qergodic.blocks import (
     BlockStructure,
     LinearFunctional,
     TensorSplit,
-    abs_element,
     adjoints,
     cluster_counts,
     cluster_projections,
@@ -24,15 +23,16 @@ from qergodic.blocks import (
     hermitian_defects,
     hermitian_part,
     is_positive,
+    is_projection,
     norms_inf,
     p_norm,
     positive_rows,
     products,
+    projection_rows,
     random_element,
     random_positive,
     spectral_clusters,
     spectral_decomposition,
-    support_of_positive,
     supports_of_positive,
 )
 
@@ -82,18 +82,6 @@ def ref_is_positive(blocks, tol=1e-9):
     return all(np.linalg.eigvalsh((b + b.conj().T) / 2).min() >= -tol for b in blocks)
 
 
-def ref_abs(blocks, tol=1e-9):
-    if max(np.linalg.norm(b - b.conj().T, 2) for b in blocks) <= tol:
-        pairs = [(b, np.abs) for b in blocks]
-    else:
-        pairs = [(b.conj().T @ b, lambda v: np.sqrt(np.clip(v, 0.0, None))) for b in blocks]
-    out = []
-    for b, transform in pairs:
-        vals, vecs = np.linalg.eigh((b + b.conj().T) / 2)
-        out.append((vecs * transform(vals)) @ vecs.conj().T)
-    return out
-
-
 def ref_spectral(blocks, cluster_tol=1e-8):
     eigs = []  # (eigenvalue, block, eigenvector), block by block
     for i, b in enumerate(blocks):
@@ -128,7 +116,6 @@ def test_norms_and_predicates_match_per_block(dims, seed):
         assert close([p_norm(x, haar, p) for p in (1, 2, np.inf)], [l1, l2, linf])
         assert x.is_hermitian() == (max(np.linalg.norm(b - b.conj().T, 2) for b in blocks) <= 1e-9)
         assert is_positive(x) == ref_is_positive(blocks)
-        assert close(abs_element(x).coords(), structure.element(ref_abs(blocks)).coords())
 
 
 @settings(max_examples=60, deadline=None)
@@ -213,6 +200,9 @@ def test_stacks_match_row_by_row(dims, seed, rows):
     proj = cluster_projections(structure, eigs, cluster, means.shape[-1])
     positive = positive_rows(structure, pos)
     supports = supports_of_positive(structure, pos, 1e-8)
+    # random rows, then the first spectral projection of each Hermitian row
+    candidates = np.concatenate([x, proj[:, :1].reshape(-1, structure.dim)])
+    projections = projection_rows(structure, candidates)
     assert prod.shape == adj.shape == supports.shape == (rows, structure.dim)
     assert norms.shape == defects.shape == counts.shape == positive.shape == (rows,)
 
@@ -232,4 +222,6 @@ def test_stacks_match_row_by_row(dims, seed, rows):
             assert np.array_equal(proj[i, k], p.coords())
         p = structure.from_coords(pos[i])
         assert positive[i] and is_positive(p)
-        assert np.array_equal(supports[i], support_of_positive(p).coords())
+        assert np.array_equal(supports[i], supports_of_positive(structure, pos[i], 1e-8))
+    assert projections.tolist() == [is_projection(structure.from_coords(c)) for c in candidates]
+    assert projections[rows:].all()

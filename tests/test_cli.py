@@ -384,28 +384,28 @@ def test_grouplikes_kp(tmp_path):
 
 
 def test_grouplikes_tests_each_projection_once(tmp_path, monkeypatch):
-    # the census verifies each of KP's 8 projections group-like, and that test is
-    # the only projection test; the centrality column makes neither test again
+    # the census tests KP's two recovered rank-1 candidates as projections, then gates
+    # them with its ten 0/1 choices in one stacked call; no element-level test follows,
+    # and the centrality column makes neither test again
     from qergodic import hopf
 
-    calls = []
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(hopf, "is_projection", counting("projection", hopf.is_projection))
+    rows, calls = {"projection": [], "group-like": []}, []
+    projection_rows = hopf.projection_rows
+    monkeypatch.setattr(hopf, "projection_rows",
+                        lambda st, x: rows["projection"].append(len(x)) or projection_rows(st, x))
+    gate = hopf.FiniteQuantumGroup._group_like_rows
+    monkeypatch.setattr(hopf.FiniteQuantumGroup, "_group_like_rows",
+                        lambda self, c: rows["group-like"].append(len(c)) or gate(self, c))
+    monkeypatch.setattr(hopf, "is_projection", lambda p: calls.append(p))
     monkeypatch.setattr(hopf.FiniteQuantumGroup, "is_group_like_projection",
-                        counting("group-like", hopf.FiniteQuantumGroup.is_group_like_projection))
+                        lambda self, p: calls.append(p))
     cfg = {"schema": 1, "group": {"kac_paljutkin": {}},
            "state": {"density": [1] * 4 + [1, 0, 0, 1]}}
     code, out = run_cli(tmp_path, "grouplikes", cfg)
     assert code == 0
     assert json.loads((out / "grouplikes.json").read_text())["count"] == 8
-    assert calls.count("group-like") == 8
-    assert calls.count("projection") == 8
+    assert rows == {"projection": [2], "group-like": [12]}
+    assert calls == []
 
 
 def test_grouplikes_up_to_the_subgroup_bound(tmp_path, capsys):

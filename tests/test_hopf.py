@@ -213,12 +213,16 @@ def _is_cocommutative(entry):
     return np.abs(dk3 - dk3.transpose(1, 0, 2)).max() <= 1e-10
 
 
+def _is_commutative(entry):
+    return set(entry.structure.dims) == {1}
+
+
 def test_commutativity_flags(f_s3, dual_s3, kp, f_c4):
     for abelian in (f_c4, group_algebra(cyclic_group(4))):
-        assert abelian.is_commutative() and _is_cocommutative(abelian)
-    assert f_s3.is_commutative() and not _is_cocommutative(f_s3)
-    assert _is_cocommutative(dual_s3) and not dual_s3.is_commutative()
-    assert not kp.is_commutative() and not _is_cocommutative(kp)
+        assert _is_commutative(abelian) and _is_cocommutative(abelian)
+    assert _is_commutative(f_s3) and not _is_cocommutative(f_s3)
+    assert _is_cocommutative(dual_s3) and not _is_commutative(dual_s3)
+    assert not _is_commutative(kp) and not _is_cocommutative(kp)
 
 
 # -- group-like projections ----------------------------------------------------
@@ -360,6 +364,26 @@ def test_large_classical_census_is_subgroup_indicators():
         assert len(found) == len(expected) == count
         assert sorted(map(tuple, found.real)) == sorted(map(tuple, expected))
         assert not found.imag.any()
+
+
+def test_census_gates_each_candidate_once(kp, monkeypatch):
+    # the census stacks its 0/1 choices and the candidates Jennrich's method recovers,
+    # and gates the stack once; KP has ten 0/1 choices (two per subgroup of C2 x C2),
+    # and the only other defect rows are the polarization terms of its five rank-1
+    # choices, ten rows each
+    rows = []
+    defect = FiniteQuantumGroup._group_like_defect_batch
+    monkeypatch.setattr(FiniteQuantumGroup, "_group_like_defect_batch",
+                        lambda self, coords: rows.append(len(coords)) or defect(self, coords))
+    for group, count in ((symmetric_group(3), 6), (symmetric_group(4), 30)):
+        rows.clear()
+        assert len(function_algebra(group).find_group_like_projections()) == count
+        assert rows == [count]
+    rows.clear()
+    found = kp.find_group_like_projections()
+    rank_one = sum(abs(np.trace(p.blocks[4]) - 1.0) < 1e-12 for p in found)
+    assert len(found) == 8 and rank_one == 2
+    assert rows == [10] * 5 + [10 + rank_one]
 
 
 def test_census_refuses_past_the_subgroup_bound():

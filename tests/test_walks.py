@@ -3,7 +3,12 @@ import re
 import numpy as np
 import pytest
 
-from qergodic.blocks import DomainError, random_element, random_positive
+from qergodic.blocks import (
+    DomainError,
+    random_element,
+    random_positive,
+    spectral_decomposition,
+)
 from qergodic.catalog import (
     chi_subgroup,
     classical_state,
@@ -34,6 +39,7 @@ from qergodic.walks import (
 )
 
 from classical_oracle import convolve_weights
+from conftest import projection_defects
 
 RNG = np.random.default_rng(2024)
 
@@ -404,6 +410,18 @@ def test_support_of_faithful_state(kp):
     assert (support_projection(nu) - kp.unit).norm_inf() < 1e-10
 
 
+def test_support_is_the_range_projection_of_the_density(kp, dual_s3):
+    # a density compressed by a spectral projection q: its support p spans f and lies under q
+    for entry in (kp, dual_s3):
+        q = spectral_decomposition(random_state(entry, RNG).density)[-1][1]
+        f = q * random_positive(entry.structure, RNG) * q
+        f = f * (1.0 / entry.haar(f).real)
+        p = support_projection(WalkState.from_density(entry, f))
+        assert max(projection_defects(p)) <= 1e-9
+        assert (p * f - f).norm_inf() < 1e-9 and (f * p - f).norm_inf() < 1e-9
+        assert (q * p - p).norm_inf() < 1e-9
+
+
 def test_support_of_idempotent_is_group_like(dual_s3, s3):
     for H in [(0, 1), (0, 4, 5)]:
         phi = dual_subgroup_state(dual_s3, list(H))
@@ -427,8 +445,6 @@ def test_support_null_space_cross_check(kp, dual_s3):
             raw = random_state(entry, RNG)
             h = raw.density
             # compress onto a nontrivial projection to get a degenerate state
-            from qergodic.blocks import spectral_decomposition
-
             parts = spectral_decomposition(h + h.adjoint())
             p = parts[-1][1]
             d = p * h * p
