@@ -186,7 +186,7 @@ def cyclic_partition(nu, T, d):
     group = nu.group
     st = group.structure
     Td = np.linalg.matrix_power(T, d)
-    _, p0 = cesaro_limit(group, Td)  # T^d is the stochastic operator of nu^(*d)
+    _, p0 = cesaro_limit(group, Td, power=d)  # T^d is the stochastic operator of nu^(*d)
     chain = [p0.coords()]
     for _ in range(d - 1):
         raw = T @ chain[-1]

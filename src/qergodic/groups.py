@@ -186,8 +186,8 @@ def _closure(group, seed):
     members[[0, *seed]] = True
     while True:
         s = np.flatnonzero(members)
-        members[group.cayley[np.ix_(s, s)]] = True
-        if members.sum() == len(s):
+        members[group.cayley[s[:, None], s]] = True
+        if np.count_nonzero(members) == len(s):
             return frozenset(s.tolist())
 
 
@@ -203,8 +203,9 @@ def subgroups(group):
     found = {_closure(group, [g]) for g in range(group.order)}
     fresh = set(found)
     while fresh:
-        # joins of two subgroups found before the last round were taken then
-        joins = {_closure(group, a | b) for a in fresh for b in found if not a <= b}
+        # joins of two subgroups found before the last round were taken then, and the
+        # join of two nested subgroups is the larger one
+        joins = {_closure(group, a | b) for a in fresh for b in found if not (a <= b or b <= a)}
         fresh = joins - found
         found |= fresh
     return sorted(tuple(sorted(h)) for h in found)

@@ -24,7 +24,9 @@ from .blocks import (
     LinearFunctional,
     TensorSplit,
     is_projection,
+    lp_norms,
     norms_inf,
+    positive_rows,
     products,
     projection_rows,
 )
@@ -33,8 +35,10 @@ from .tolerances import (
     CENSUS_NULL_RTOL,
     HAAR_NULL_RTOL,
     HAAR_WEIGHT_FLOOR,
+    IDEMPOTENCE_TOL,
     IMPLIED_IDENTITY_TOL,
     PROJECTION_EQ_TOL,
+    STATE_NORM_TOL,
     STRUCTURE_TOL,
 )
 
@@ -43,6 +47,16 @@ _HAAR_BATCH = 16384  # entries per block of rows of the Haar system: 256 KiB of 
 # coordinates of a rank-1 2x2 projection 0.5 (1 + n . sigma): the constant term,
 # then the coefficients of n_x, n_y and n_z
 _BLOCH_BASIS = 0.5 * np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, -1j, 1j, 0], [1, 0, 0, -1]])
+
+# the first 14 draws of np.random.default_rng(0).standard_normal: the census's fixed
+# combinations, written out so that the census never imports numpy.random
+_JENNRICH_DRAWS = np.array([
+    0.1257302210933933, -0.1321048632913019, 0.6404226504432821, 0.10490011715303971,
+    -0.535669373161111, 0.36159505490948474, 1.3040000451301372, 0.9470809631292422,
+    -0.7037352358069926, -1.2654214710460525, -0.6232744625373522, 0.0413259793472436,
+    -2.3250307746388343, -0.21879166393254573])
+
+_UNBUILT = object()  # the census slot of a group before its first census() call
 
 
 class StructuralError(RuntimeError):
@@ -77,10 +91,11 @@ class FiniteQuantumGroup:
     ``comul`` is the (D^2, D) matrix whose row s D + t, column f holds the
     coefficient of e_s (x) e_t in Delta(e_f), kept as ``comul_kron``;
     ``antipode`` is the (D, D) matrix of S and ``counit`` a
-    :class:`LinearFunctional`.  Immutable after construction.
-    ``realization`` optionally records how the entry was built (classical
-    function algebra, group algebra, ...) so that criteria needing that extra
-    data can find it.
+    :class:`LinearFunctional`.  The maps and the Haar data are immutable
+    after construction; the group-like census (:meth:`census`) is derived data,
+    built on first use and then held.  ``realization`` optionally records how
+    the entry was built (classical function algebra, group algebra, ...) so
+    that criteria needing that extra data can find it.
 
     With ``validate`` (the default) the constructor solves the Haar data once
     and sets them as attributes -- ``haar``, ``haar_weights`` (per block),
@@ -105,6 +120,7 @@ class FiniteQuantumGroup:
         self.label = label or f"quantum group on {structure.dims}"
         self.realization = realization
         self.unit = structure.unit()
+        self._census = _UNBUILT
         if validate:
             self.haar, self.haar_weights, self.haar_coord_weights = self._solve_haar()
             self.haar_element = self._find_haar_element()
@@ -378,7 +394,8 @@ class FiniteQuantumGroup:
                 fixed.append(base)
                 continue
             cols, terms = self._defect_terms(base, spheres)
-            u, s, _ = np.linalg.svd(terms)
+            # terms has at most 28 rows and 2 D^2 >= 50 columns, so u is square all the same
+            u, s, _ = np.linalg.svd(terms, full_matrices=False)
             null = u[:, np.count_nonzero(s > CENSUS_NULL_RTOL * s[0]):]
             if null.size:
                 recovered.extend(_moment_vectors(null, len(cols)) @ cols)
@@ -394,6 +411,50 @@ class FiniteQuantumGroup:
             raise StructuralError("group-like projection with nonpositive Haar mass")
         found = sorted(found, key=lambda c: tuple(np.round(c.real, 6)) + tuple(np.round(c.imag, 6)))
         return [self.structure.from_coords(coords) for coords in found]
+
+    def census(self):
+        """The group-like projections with their idempotent states, or None where none is found.
+
+        Built by :meth:`find_group_like_projections` on the first call and held
+        on the group; None when that search refuses (UnsupportedError).
+        Returns ``(projections, masses, states)``: the (N, D) coordinates of
+        the projections q in the search's order, their Haar masses h(q), and
+        the (N, D) functionals of the states q / h(q), the idempotent states
+        (Franz and Skalski), each checked here, once, to be a state and
+        idempotent.
+        """
+        if self._census is _UNBUILT:
+            try:
+                found = self.find_group_like_projections()
+            except UnsupportedError:
+                self._census = None
+                return None
+            projections = np.array([q.coords() for q in found])
+            masses = self.haar.values(projections).real
+            densities = projections / masses[:, None]
+            states = self.haar_coord_weights * densities.take(self.structure.star_perm, axis=-1)
+            if not (positive_rows(self.structure, densities).all()
+                    and np.all(abs(states @ self.unit.coords() - 1.0) <= STATE_NORM_TOL)):
+                raise StructuralError("q / h(q) of a group-like projection q is not a state")
+            if not self._idempotent_rows(states).all():
+                raise StructuralError("q / h(q) of a group-like projection q is not idempotent")
+            for array in (projections, masses, states):
+                array.flags.writeable = False
+            self._census = projections, masses, states
+        return self._census
+
+    def _idempotent_rows(self, states):
+        """Whether phi * phi = phi, in total variation within ``IDEMPOTENCE_TOL``, per row.
+
+        ``states`` is an (N, D) stack of state functionals; the N squares come
+        from one product with ``comul_kron`` and the N distances from one
+        :func:`lp_norms` call.
+        """
+        n, D = states.shape
+        squares = (states[:, :, None] * states[:, None, :]).reshape(n, D * D) @ self.comul_kron
+        diff = (squares - states).take(self.structure.star_perm, axis=-1) / self.haar_coord_weights
+        l1, _, _ = lp_norms(self.structure, diff, self.haar_weights)
+        return 0.5 * l1 <= IDEMPOTENCE_TOL
 
     # -- convolution on the algebra ----------------------------------------------
 
@@ -430,7 +491,7 @@ def _moment_vectors(null, K):
     ``np.triu_indices(K)``, should span the monomials (m_u m_v)_{u <= v} of r
     independent moment vectors, the columns of a K x r matrix M.  Folding a
     column into a symmetric K x K matrix gives X = M diag(a) M^T, so two
-    fixed-seed random combinations A and B of the folded columns have
+    fixed random combinations A and B of the folded columns (``_JENNRICH_DRAWS``) have
     A B^+ = M diag(a / b) M^+, whose eigenvectors are the moment vectors
     (Jennrich's simultaneous diagonalization).  A and B are taken on the
     range of the X, which M spans, where B is invertible.  Returns an (r, K)
@@ -443,12 +504,13 @@ def _moment_vectors(null, K):
     iu, iv = np.triu_indices(K)
     X = np.zeros((r, K, K))
     X[:, iu, iv] = X[:, iv, iu] = null.T
-    U, s, _ = np.linalg.svd(X.transpose(1, 0, 2).reshape(K, r * K))
+    U, s, _ = np.linalg.svd(X.transpose(1, 0, 2).reshape(K, r * K), full_matrices=False)
     if np.count_nonzero(s > CENSUS_NULL_RTOL * s[0]) != r:
         raise UnsupportedError(f"census null space of dimension {r} is not spanned by "
                                f"{r} independent moment vectors")
     U = U[:, :r]
-    A, B = U.T @ np.tensordot(np.random.default_rng(0).standard_normal((2, r)), X, 1) @ U
+    draws = np.stack([_JENNRICH_DRAWS[:r], _JENNRICH_DRAWS[r:2 * r]])  # standard_normal((2, r))
+    A, B = U.T @ np.tensordot(draws, X, 1) @ U
     _, W = np.linalg.eig(np.linalg.solve(B, A).T)  # A B^-1, as A and B are symmetric
     M = U @ W  # columns of norm 1
     if np.any(np.abs(M[0]) <= CENSUS_NULL_RTOL):

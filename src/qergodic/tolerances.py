@@ -52,11 +52,13 @@ CENSUS_NULL_RTOL = 1e-9
 KERNEL_TOL = 1e-8
 # above this condition number of the eigenvalue-1 Gram matrix, 1 is not semisimple: chosen
 SEMISIMPLE_COND_MAX = 1e8
-# spectral vs squared Cesaro limits: chosen; caps settled_power's derived 2^k * D * eps floor
+# spectral vs Haar, census or squared Cesaro limits: chosen; caps settled_power's 2^k D eps floor
 AGREEMENT_TOL = 1e-9
 # settled_power accepts a square whose step is below the larger of this and its floor: chosen
 SETTLE_STEP_FLOOR = 1e-12
-# TV(phi * phi, phi) of an idempotent state, the Cesaro limit among them: chosen
+# c of c k D eps, the roundoff nu^(*k) leaves outside its census projection: chosen, measured <= 4.1
+CENSUS_MASS_FACTOR = 16
+# TV(phi * phi, phi) of an idempotent state: each census q / h(q), a Cesaro limit with none: chosen
 IDEMPOTENCE_TOL = 1e-9
 # a TV or QSD step of the distance trace may rise by this roundoff: chosen
 MONOTONE_SLACK = 1e-10

@@ -20,6 +20,7 @@ from .blocks import (
     eighs,
     hermitian_defects,
     lp_norms,
+    norms_inf,
     p_norm,
     positive_rows,
     random_positive,
@@ -27,11 +28,12 @@ from .blocks import (
 )
 from .tolerances import (
     AGREEMENT_TOL,
-    IDEMPOTENCE_TOL,
+    CENSUS_MASS_FACTOR,
     IMPLIED_IDENTITY_TOL,
     KERNEL_TOL,
     MONOTONE_SLACK,
     PERIPHERAL_TOL,
+    PROJECTION_EQ_TOL,
     ROOT_OF_UNITY_TOL,
     SEMISIMPLE_COND_MAX,
     SETTLE_STEP_FLOOR,
@@ -361,29 +363,75 @@ def settled_power(M):
     )
 
 
-def cesaro_limit(group, T):
+def cesaro_limit(group, T, power=1):
     """Limit of (1/n) sum nu^(*k) and the support of the limit, for T = T_nu.
 
-    Computed twice -- spectral projection onto eigenvalue 1, and powers of
-    the averaged operator (I + T)/2 -- and the two must agree within
-    ``AGREEMENT_TOL``.  The limit is verified idempotent, with density
-    p / haar(p) for its group-like support p (:func:`idempotent_support`).
+    The limit is the spectral projection of T onto eigenvalue 1, applied to
+    the counit, and its support p is that of its density.  A second route,
+    chosen by p, must give the same limit within ``AGREEMENT_TOL``:
+
+    - p = 1: the Haar state.  An eigenvalue near 1 wrongly merged with 1 can
+      only make p smaller, never the unit.
+    - p < 1 on a group with a census (:meth:`FiniteQuantumGroup.census`):
+      q / h(q) for the least census projection q that the walk lives on,
+      which must be p (:func:`_census_state`).
+    - p < 1 on a group without one: powers of the averaged operator
+      (I + T)/2, and the limit is verified idempotent, with density p / h(p)
+      for a group-like p (:func:`idempotent_support`).
+
+    ``power`` is k when T is T_nu^k, the operator of nu^(*k); the roundoff
+    the census route allows grows with it.
     """
-    P_spec = _cesaro_spectral(T)
+    eps = group.counit.coeffs
+    c_spec = _cesaro_spectral(T).T @ eps
+    limit = WalkState.from_functional_coeffs(group, c_spec, check=True, label="cesaro limit")
+    support = support_projection(limit)
+    if (support - group.unit).norm_inf() <= PROJECTION_EQ_TOL:
+        if np.abs(c_spec - group.haar.coeffs).max() > AGREEMENT_TOL:
+            raise NumericError("spectral Cesaro limit of support 1 is not the Haar state")
+        return limit, support
+    census = group.census()
+    if census is not None:
+        if np.abs(c_spec - _census_state(group, census, T, power, support)).max() > AGREEMENT_TOL:
+            raise NumericError("spectral Cesaro limit is not q / h(q) of its census projection")
+        return limit, support
     # the spectrum of (I + T)/2 sits strictly inside the unit disc except at
     # 1, so its powers converge to the eigenvalue-1 projection even for
     # periodic walks, where plain powers of T do not converge at all
-    P_iter = settled_power(0.5 * (np.eye(T.shape[0]) + T))
-    eps = group.counit.coeffs
-    c_spec = P_spec.T @ eps
-    c_iter = P_iter.T @ eps
+    c_iter = settled_power(0.5 * (np.eye(T.shape[0]) + T)).T @ eps
     if np.abs(c_spec - c_iter).max() > AGREEMENT_TOL:
         raise NumericError("spectral and iterative Cesaro limits disagree")
-    limit = WalkState.from_functional_coeffs(group, c_spec, check=True, label="cesaro limit")
-    support = idempotent_support(limit)
-    if support is None:
+    if idempotent_support(limit) is None:
         raise NumericError("Cesaro limit is not idempotent")
     return limit, support
+
+
+def _census_state(group, census, T, power, support):
+    """The functional of q / h(q) for the least census projection q the walk lives on.
+
+    T is the operator of nu^(*k), k = ``power``.  The walk lives on q when
+    the mass it leaves outside, 1 - (eps T)(q), is at most the roundoff
+    bound c k D eps (c = ``CENSUS_MASS_FACTOR``, eps the machine epsilon).
+    NumericError is raised when a mass lies between that bound and
+    ``PROJECTION_EQ_TOL``, too close to tell, when the projections of least
+    Haar mass that carry the walk are not one, and when that one is not the
+    spectral support.
+    """
+    projections, masses, states = census
+    bound = CENSUS_MASS_FACTOR * power * group.dim * np.finfo(float).eps
+    outside = 1.0 - (projections @ (T.T @ group.counit.coeffs)).real
+    unclear = (outside > bound) & (outside <= PROJECTION_EQ_TOL)
+    if unclear.any():
+        raise NumericError(
+            f"walk leaves mass {outside[unclear].min():.1e} outside a group-like projection: "
+            f"above the roundoff bound {bound:.1e}, within {PROJECTION_EQ_TOL:.0e} of 0")
+    carried = np.flatnonzero(outside <= bound)
+    least = carried[masses[carried] - masses[carried].min(initial=np.inf) <= PROJECTION_EQ_TOL]
+    if len(least) != 1:
+        raise NumericError(f"{len(least)} census projections of least Haar mass carry the walk")
+    if norms_inf(group.structure, support.coords() - projections[least[0]]) > PROJECTION_EQ_TOL:
+        raise NumericError("spectral Cesaro support is not its census projection")
+    return states[least[0]]
 
 
 def idempotent_support(phi):
@@ -391,12 +439,13 @@ def idempotent_support(phi):
 
     The density must then be p / haar(p) with p group-like, or NumericError is raised.
     """
-    if total_variation(convolve(phi, phi), phi) > IDEMPOTENCE_TOL:
+    group = phi.group
+    if not group._idempotent_rows(phi.functional.coeffs[None])[0]:
         return None
     p = support_projection(phi)
-    if (phi.density - p * (1.0 / phi.group.haar(p).real)).norm_inf() > IMPLIED_IDENTITY_TOL:
+    if (phi.density - p * (1.0 / group.haar(p).real)).norm_inf() > IMPLIED_IDENTITY_TOL:
         raise NumericError("idempotent state density is not p / haar(p)")
-    if not phi.group.is_group_like_projection(p):
+    if not group.is_group_like_projection(p):
         raise NumericError("idempotent state support is not group-like")
     return p
 

@@ -248,6 +248,32 @@ def test_construction_leaves_numpy_ma_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_census_leaves_numpy_random_unloaded():
+    # a reducible walk builds its group's census, whose fixed combinations are written out:
+    # importing numpy.random would add about 5 MB to the peak RSS
+    src = os.path.dirname(os.path.dirname(qergodic.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys\n"
+            "from qergodic import catalog, ergodicity, groups\n"
+            "dual_s3 = catalog.group_algebra(groups.symmetric_group(3))\n"
+            "kp = catalog.kac_paljutkin()\n"
+            "tags = [ergodicity.classify(nu).tag for nu in (\n"
+            "    catalog.dual_subgroup_state(dual_s3, [0, 1]), catalog.kp_pure_state(kp, 1))]\n"
+            "print(*tags, kp.census() is not None, 'numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.split() == ["reducible", "reducible", "True", "False"]
+
+
+def test_census_draws_are_the_fixed_seed_draws():
+    # the written-out draws are bitwise those the census took from the generator
+    from qergodic.hopf import _JENNRICH_DRAWS
+
+    for r in range(1, 8):
+        draws = np.random.default_rng(0).standard_normal((2, r))
+        assert np.array_equal(draws, [_JENNRICH_DRAWS[:r], _JENNRICH_DRAWS[r:2 * r]])
+
+
 def ref_solve_haar(qg):
     """The full-SVD solve: the whole (D^2, D) invariance system at once, then each check.
 

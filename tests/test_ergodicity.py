@@ -492,22 +492,79 @@ def test_near_periodic_walk_gets_the_oracle_verdict(f_c4, eps):
     assert verdict.tag == oracle[0] == "ergodic"
 
 
+# six ergodic walks with one small mass m: near-periodic (the first, second and fifth)
+# or near-reducible (the others), each as (n, weights on C_n)
+BOUNDARY_SHAPES = [
+    (4, lambda m: {0: m, 1: 1 - m}),
+    (6, lambda m: {1: 1 - m, 2: m}),
+    (6, lambda m: {2: 1 - m, 3: m}),
+    (8, lambda m: {2: 0.5 - m, 6: 0.5, 1: m}),
+    (12, lambda m: {1: 0.5 - m, 3: 0.5, 2: m}),
+    (12, lambda m: {4: 0.5 - m, 8: 0.5, 3: m}),
+]
+
+
+@pytest.fixture(scope="module")
+def boundary_entries():
+    return {n: function_algebra(cyclic_group(n)) for n in (4, 6, 8, 12)}
+
+
+def _boundary_walks(entries, k):
+    """(walk, the oracle's (tag, period)) for each shape with m = 10^-k."""
+    for n, shape in BOUNDARY_SHAPES:
+        weights = shape(10.0 ** -k)
+        vec = np.zeros(n)
+        vec[list(weights)] = list(weights.values())
+        oracle = classify_weights(entries[n].realization.group, vec, tol=0.0)
+        yield (classical_state(entries[n], ("weights", weights)),
+               (oracle[0], oracle[1] if oracle[0] == "periodic" else None))
+
+
+def _tag_and_period(verdict):
+    return verdict.tag, verdict.partition.period if verdict.partition else None
+
+
+@pytest.mark.parametrize("k", range(4, 14))
+def test_boundary_walks_get_the_oracle_verdict_or_a_refusal(boundary_entries, k):
+    # down to m = 1e-7 every walk gets the oracle's verdict; from 1e-8, where m reaches
+    # KERNEL_TOL and PROJECTION_EQ_TOL, a walk may be refused, but never get a wrong verdict
+    for nu, oracle in _boundary_walks(boundary_entries, k):
+        try:
+            verdict = classify(nu)
+        except (NumericError, DomainError):
+            assert k >= 8, nu
+            continue
+        assert _tag_and_period(verdict) == oracle
+
+
 @pytest.mark.xfail(strict=True, reason="a mass under SUPPORT_CUTOFF drops out of the "
                    "support; the support cutoff is to be derived (ROADMAP item 1)")
-def test_masses_near_1e13_get_the_oracle_verdict():
-    # silent wrong verdicts: the support generates the group, yet F(C8) comes out
-    # reducible and F(C4) periodic with d = 4
-    tags, oracle_tags = [], []
-    for eps in (1e-13, 1e-14):
-        for n, weights in ((8, {2: 0.5 - eps, 6: 0.5, 1: eps}), (4, {0: eps, 1: 1 - eps})):
-            group = cyclic_group(n)
-            nu = classical_state(function_algebra(group), ("weights", weights))
-            tags.append(classify(nu).tag)
-            vec = np.zeros(n)
-            vec[list(weights)] = list(weights.values())
-            oracle_tags.append(classify_weights(group, vec, tol=0.0)[0])
-    assert oracle_tags == ["ergodic"] * 4
-    assert tags == oracle_tags
+def test_boundary_walks_below_1e13_get_the_oracle_verdict(boundary_entries):
+    # silent wrong verdicts: at m = 1e-14 the support generates the group, yet F(C8)
+    # {2: 0.5 - m, 6: 0.5, 1: m} comes out reducible and F(C4) {0: m, 1: 1 - m} periodic
+    pairs = [(_tag_and_period(classify(nu)), oracle)
+             for k in (14, 15, 16) for nu, oracle in _boundary_walks(boundary_entries, k)]
+    assert {oracle for _, oracle in pairs} == {("ergodic", None)}
+    assert [got for got, _ in pairs] == [oracle for _, oracle in pairs]
+
+
+def test_boundary_refusal_names_the_mass_and_the_bound(boundary_entries):
+    # the walk leaves 1e-13 outside the subgroup {0, 2, 4, 6}: above the roundoff bound
+    # 16 D eps = 2.8e-14, yet too close to 0 to say that the walk leaves the subgroup
+    nu = classical_state(boundary_entries[8], ("weights", {2: 0.5 - 1e-13, 6: 0.5, 1: 1e-13}))
+    with pytest.raises(NumericError, match=re.escape(
+            "walk leaves mass 1.0e-13 outside a group-like projection: "
+            "above the roundoff bound 2.8e-14, within 1e-08 of 0")):
+        classify(nu)
+
+
+def test_walks_a_settling_power_refused_get_the_oracle_verdict(boundary_entries):
+    # the squared route refused both, "powers did not settle"; the spectral gaps
+    # 1.0e-5 and 3.0e-4 are far from every gate
+    near_reducible = {2: 0.5 - 1e-5, 6: 0.5, 1: 1e-5}
+    assert classify(classical_state(boundary_entries[8], ("weights", near_reducible))).ergodic
+    f_c128 = function_algebra(cyclic_group(128))
+    assert classify(classical_state(f_c128, ("weights", {1: 0.5, 2: 0.5}))).ergodic
 
 
 @pytest.mark.parametrize("n, weights", [(64, {1: 0.3, 2: 0.7}), (96, {1: 0.5, 2: 0.5})])

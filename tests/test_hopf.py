@@ -386,6 +386,29 @@ def test_census_gates_each_candidate_once(kp, monkeypatch):
     assert rows == [10] * 5 + [10 + rank_one]
 
 
+def test_census_holds_the_search_and_its_idempotent_states(monkeypatch):
+    # q / h(q) is the idempotent state of q: its functional is x -> h(q x) / h(q)
+    group = kac_paljutkin()
+    found = group.find_group_like_projections()
+    projections, masses, states = group.census()
+    assert np.array_equal(projections, [q.coords() for q in found])
+    assert np.array_equal(masses, [group.haar(q).real for q in found])
+    x = random_element(group.structure, RNG)
+    assert np.allclose(states @ x.coords(), [group.haar(q * x) / group.haar(q) for q in found],
+                       rtol=0, atol=1e-14)
+    assert group._idempotent_rows(states).all()
+    assert not any(a.flags.writeable for a in (projections, masses, states))
+    # held: a second call runs no search
+    monkeypatch.setattr(FiniteQuantumGroup, "find_group_like_projections", None)
+    assert group.census()[0] is projections
+    # a convex mixture of two idempotent states is not idempotent
+    assert not group._idempotent_rows(0.5 * (states[:1] + states[-1:]))[0]
+
+
+def test_census_is_none_where_the_search_refuses():
+    assert function_algebra(cyclic_group(65)).census() is None
+
+
 def test_census_refuses_past_the_subgroup_bound():
     with pytest.raises(UnsupportedError, match="bounded at order 64"):
         function_algebra(cyclic_group(65)).find_group_like_projections()

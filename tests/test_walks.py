@@ -1,10 +1,14 @@
+import itertools
 import re
 
 import numpy as np
 import pytest
 
+from qergodic import walks
 from qergodic.blocks import (
     DomainError,
+    norms_inf,
+    products,
     random_element,
     random_positive,
     spectral_decomposition,
@@ -12,13 +16,21 @@ from qergodic.blocks import (
 from qergodic.catalog import (
     chi_subgroup,
     classical_state,
+    dual_state_from_values,
     dual_subgroup_state,
     function_algebra,
+    group_algebra,
+    kac_paljutkin,
+    kp_pure_state,
 )
-from qergodic.tolerances import PERIPHERAL_TOL, ROOT_OF_UNITY_TOL
+from qergodic.ergodicity import classify
+from qergodic.groups import cyclic_group, dihedral_group, symmetric_group
+from qergodic.hopf import FiniteQuantumGroup
+from qergodic.tolerances import PERIPHERAL_TOL, PROJECTION_EQ_TOL, ROOT_OF_UNITY_TOL
 from qergodic.walks import (
     NumericError,
     WalkState,
+    _cesaro_spectral,
     cesaro_limit,
     check_states,
     convolution_coeffs,
@@ -496,6 +508,98 @@ def test_cesaro_limit_of_periodic_dual_walk(dual_s3, perm_state, s3):
     _, support2 = cesaro_limit(dual_s3, stochastic_operator(convolution_power(perm_state, 2)))
     chi = chi_subgroup(dual_s3, [0, s3.index_of("(12)")])
     assert (support2 - chi).norm_inf() < 1e-8
+
+
+CENSUS_ENTRIES = {
+    "F(C6)": lambda: function_algebra(cyclic_group(6)),
+    "F(S3)": lambda: function_algebra(symmetric_group(3)),
+    "F(S4)": lambda: function_algebra(symmetric_group(4)),
+    "F(D6)": lambda: function_algebra(dihedral_group(6)),
+    "C[C6]": lambda: group_algebra(cyclic_group(6)),
+    "C[S3]": lambda: group_algebra(symmetric_group(3)),
+    "KP": kac_paljutkin,
+}
+
+
+@pytest.mark.parametrize("label", list(CENSUS_ENTRIES))
+def test_census_is_closed_under_joins(label):
+    # the Cesaro support of (phi + psi)/2, from the spectral route alone, is the
+    # quasi-subgroup that phi and psi generate, each an idempotent state sigma_p of the
+    # census or a point mass at a character (a 1x1 block); a census that missed it would
+    # show its least projection above both as a larger one
+    group = CENSUS_ENTRIES[label]()
+    st = group.structure
+    projections, masses, states = group.census()
+    characters = np.array(st.offsets[:-1])[np.array(st.dims) == 1]
+    generators = np.concatenate([states, np.eye(st.dim)[characters]])
+    # carries[g, r]: projection r carries generator g: p_g <= p_r, or p_r = 1 at the character
+    carries = np.concatenate([
+        norms_inf(st, products(st, projections[None], projections[:, None]) - projections[:, None])
+        <= PROJECTION_EQ_TOL,
+        np.abs(projections[:, characters].T - 1.0) <= PROJECTION_EQ_TOL])
+    for i, j in itertools.combinations_with_replacement(range(len(generators)), 2):
+        nu = WalkState.from_functional_coeffs(group, 0.5 * (generators[i] + generators[j]))
+        c_spec = _cesaro_spectral(stochastic_operator(nu)).T @ group.counit.coeffs
+        support = support_projection(WalkState.from_functional_coeffs(group, c_spec)).coords()
+        above = np.flatnonzero(carries[i] & carries[j])
+        join = above[np.argmin(masses[above])]
+        assert carries[join, above].all(), (label, i, j)
+        assert norms_inf(st, support - projections[join]) <= PROJECTION_EQ_TOL, (label, i, j)
+
+
+def _raise_squared_route(*args):
+    raise AssertionError("the squared Cesaro route ran")
+
+
+def test_census_entries_classify_without_the_squared_route(monkeypatch, f_s3, dual_s3, kp,
+                                                           f_c4, perm_state, twodim_state):
+    f_c6, dual_c6 = function_algebra(cyclic_group(6)), group_algebra(cyclic_group(6))
+    rng = np.random.default_rng(31)
+    nus = [
+        classical_state(f_s3, ("uniform", ["(12)", "(13)", "(23)"])),
+        classical_state(f_s3, ("uniform", ["e", "(123)"])),
+        classical_state(f_s3, ("point", "(123)")),
+        classical_state(f_c4, ("point", 2)),
+        classical_state(f_c4, ("point", 1)),
+        classical_state(f_c6, ("weights", {1: 0.5, 3: 0.5})),
+        classical_state(f_c6, ("weights", {0: 0.2, 2: 0.3, 3: 0.5})),
+        dual_subgroup_state(dual_s3, [0, 1]),
+        dual_subgroup_state(dual_c6, [0, 3]),
+        perm_state,
+        twodim_state,
+        *(kp_pure_state(kp, block) for block in range(4)),
+        *(random_state(entry, rng, ridge=0.2) for entry in (f_s3, dual_s3, kp, dual_c6)),
+    ]
+    monkeypatch.setattr(walks, "settled_power", _raise_squared_route)
+    monkeypatch.setattr(walks, "idempotent_support", _raise_squared_route)
+    tags = [classify(nu).tag for nu in nus]
+    assert set(tags) == {"ergodic", "reducible", "periodic"}
+    # C[C96] has no census, as its character group has order 96 > 64: the squared
+    # route still decides its reducible walk
+    monkeypatch.undo()
+    calls = []
+    for name in ("settled_power", "idempotent_support"):
+        monkeypatch.setattr(walks, name, lambda *args, fn=getattr(walks, name), name=name:
+                            calls.append(name) or fn(*args))
+    omega = np.exp(2j * np.pi / 96)
+    dual_c96 = group_algebra(cyclic_group(96))
+    values = [0.5 * omega ** (2 * k) + 0.5 * omega ** (4 * k) for k in range(96)]
+    assert classify(dual_state_from_values(dual_c96, values)).tag == "reducible"
+    assert dual_c96.census() is None
+    assert calls == ["settled_power", "idempotent_support"]
+
+
+def test_census_is_built_once_and_not_for_support_one(monkeypatch):
+    group = function_algebra(cyclic_group(6))
+    built = []
+    search = FiniteQuantumGroup.find_group_like_projections
+    monkeypatch.setattr(FiniteQuantumGroup, "find_group_like_projections",
+                        lambda self: built.append(self) or search(self))
+    assert classify(classical_state(group, ("weights", {0: 0.5, 1: 0.5}))).ergodic
+    assert built == []
+    assert classify(classical_state(group, ("point", 2))).tag == "reducible"
+    assert classify(classical_state(group, ("weights", {1: 0.5, 3: 0.5}))).tag == "periodic"
+    assert built == [group]
 
 
 def test_settled_power_limit_and_roundoff_refusal():
