@@ -49,6 +49,7 @@ from .tolerances import (
 )
 from .walks import (
     WalkState,
+    _census_index,
     _null_space,
     _orbit,
     _power_coeffs,
@@ -174,26 +175,32 @@ def is_irreducible(nu):
 def cyclic_partition(nu, T, d):
     """Construct and verify the T-cyclic partition of unity for a period-d walk; T is T_nu.
 
-    p_0 is the support of the Cesaro limit of nu^(*d), taken from T^d; the remaining
-    projections are its images under T: p_{d-1} = T(p_0), p_{d-2} = T(p_{d-1}),
-    and so on, each snapped to the sum of its spectral projections above ``PARTITION_SNAP``.
-    The defining invariants, T^d(p_1) = p_1 among them, are checked on the
-    (d, D) stack of the projections before returning.
+    p_0 is the support of the Cesaro limit of nu^(*d), whose operator is T^d:
+    on a group with a census (:meth:`FiniteQuantumGroup.census`), the least
+    census projection that carries eps T^d (:func:`walks._census_index`),
+    otherwise the support that :func:`cesaro_limit` gives.  The remaining
+    projections are its images under T: p_{d-j} = T^j(p_0) for j = 1..d-1,
+    formed as one orbit and snapped as one stack to the sums of their
+    spectral projections above ``PARTITION_SNAP``.  The defining invariants,
+    T^d(p_1) = p_1 among them, are checked on the (d, D) stack of the
+    projections before returning; they certify p_0 as well.
     """
     _require_integer("d", d)
     if d < 2:
         raise ValueError("cyclic partitions need d >= 2")
     group = nu.group
     st = group.structure
-    Td = np.linalg.matrix_power(T, d)
-    _, p0 = cesaro_limit(group, Td, power=d)  # T^d is the stochastic operator of nu^(*d)
-    chain = [p0.coords()]
-    for _ in range(d - 1):
-        raw = T @ chain[-1]
-        chain.append(supports_of_positive(st, (raw + adjoints(st, raw)) * 0.5, PARTITION_SNAP))
-        if norms_inf(st, chain[-1] - raw) > PROJECTION_EQ_TOL:
-            raise ClassificationError("operator image is not a projection")
-    P = np.array(chain[:1] + chain[:0:-1])  # chain[j] = p_{d-j}; reorder to p_0..p_{d-1}
+    Td = np.linalg.matrix_power(T, d)  # the stochastic operator of nu^(*d)
+    census = group.census()
+    if census is None:
+        p0 = cesaro_limit(group, Td, power=d)[1].coords()
+    else:
+        p0 = census[0][_census_index(group, census, Td, d)]
+    raw = _orbit(T, p0, d)[1:]  # row j - 1 is T^j(p_0)
+    chain = supports_of_positive(st, (raw + adjoints(st, raw)) * 0.5, PARTITION_SNAP)
+    if (norms_inf(st, chain - raw) > PROJECTION_EQ_TOL).any():
+        raise ClassificationError("operator image is not a projection")
+    P = np.concatenate([p0[None], chain[::-1]])  # chain[j - 1] = p_{d-j}; reorder to p_0..p_{d-1}
     if norms_inf(st, P.cumsum(0)[-1] - group.unit.coords()) > PROJECTION_EQ_TOL:
         raise ClassificationError("cyclic projections do not sum to the unit")
     overlaps = norms_inf(st, products(st, P[:, None], P[None]))
@@ -203,13 +210,13 @@ def cyclic_partition(nu, T, d):
         raise ClassificationError("projections are not T-cyclic")
     if (abs(group.haar.values(P).real - 1.0 / d) > PROJECTION_EQ_TOL).any():
         raise ClassificationError("cyclic projection Haar mass is not 1/d")
-    if abs(group.counit(p0) - 1.0) > PROJECTION_EQ_TOL:
+    if abs(group.counit.values(P[0]) - 1.0) > PROJECTION_EQ_TOL:
         raise ClassificationError("counit mass of p_0 is not 1")
     if abs(nu.functional.values(P[1]) - 1.0) > PROJECTION_EQ_TOL:
         raise ClassificationError("nu is not concentrated on p_1")
     if norms_inf(st, Td @ P[1] - P[1]) > PROJECTION_EQ_TOL:
         raise ClassificationError("T^d does not fix p_1")
-    return CyclicPartition(d, [p0] + [st.from_coords(p) for p in P[1:]])
+    return CyclicPartition(d, [st.from_coords(p) for p in P])
 
 
 def classify(nu):

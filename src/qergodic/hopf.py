@@ -43,6 +43,7 @@ from .tolerances import (
 )
 
 _HAAR_BATCH = 16384  # entries per block of rows of the Haar system: 256 KiB of complex
+_GATE_BATCH = 4096  # entries of Delta(p) per chunk of the group-like gate: 64 KiB of complex
 
 # coordinates of a rank-1 2x2 projection 0.5 (1 + n . sigma): the constant term,
 # then the coefficients of n_x, n_y and n_z
@@ -218,7 +219,8 @@ class FiniteQuantumGroup:
         coords = self._character_coords()
         rows = self.comul_kron[(coords[:, None] * self.dim + coords).reshape(-1)]
         table = np.abs(rows[:, coords]).argmax(axis=1)
-        if np.abs(rows - np.eye(self.dim)[coords[table]]).max() > STRUCTURE_TOL:
+        rows[np.arange(len(rows)), coords[table]] -= 1.0  # each row less its evaluation
+        if np.abs(rows).max() > STRUCTURE_TOL:
             raise StructuralError("a product of characters is not a character")
         try:
             return FiniteGroup(map(str, coords), table.reshape(len(coords), -1),
@@ -331,11 +333,18 @@ class FiniteQuantumGroup:
         """Whether each projection of an (N, D) stack is group-like: Delta(p)(1 (x) p) = p (x) p.
 
         The one gate of group-likeness: the Frobenius norm of each row's
-        defect in Kronecker order, at most ``PROJECTION_EQ_TOL``.  The rows
-        that pass must have counit value 1 and be fixed by the antipode, as
+        defect in Kronecker order, at most ``PROJECTION_EQ_TOL``.  The defects
+        are taken a few rows at a time, at most ``_GATE_BATCH`` entries of
+        Delta(p) per chunk, so that their (rows, D, D) intermediates stay
+        small however many candidates the census stacks.  The rows that pass
+        must have counit value 1 and be fixed by the antipode, as
         group-likeness implies; a failure there raises StructuralError.
         """
-        defects = np.linalg.norm(self._group_like_defect_batch(coords), axis=1)
+        chunk = max(1, _GATE_BATCH // self.dim ** 2)
+        defects = np.empty(len(coords))
+        for start in range(0, len(coords), chunk):
+            defects[start:start + chunk] = np.linalg.norm(
+                self._group_like_defect_batch(coords[start:start + chunk]), axis=1)
         group_like = defects <= PROJECTION_EQ_TOL
         kept = coords[group_like]
         if np.any(np.abs(self.counit.values(kept) - 1.0) > IMPLIED_IDENTITY_TOL):

@@ -237,11 +237,24 @@ def convolution_power(nu, k):
 def _power_coeffs(group, M, ks):
     """The functionals eps M^k, refused if not finite: nu^(*k) for M = T_nu.
 
-    ``ks`` is one k, giving a (D,) row, or a sequence, giving a (len(ks), D) stack.
+    ``ks`` is one k >= 1, giving a (D,) row, or a sequence, giving a
+    (len(ks), D) stack.  The squares M^(2^j) are formed once for all ks, and
+    each M^k multiplies them in ``np.linalg.matrix_power``'s order, so that
+    each row is bitwise the one it gives: (M M) M for k = 3, otherwise the
+    squares of k's set bits, from the lowest up.
     """
     eps = group.counit.coeffs
-    powers = np.array([np.linalg.matrix_power(M, k).T @ eps for k in np.ravel(ks)])
-    powers = powers.reshape(np.shape(ks) + (group.dim,))
+    flat = [int(k) for k in np.ravel(ks)]
+    mats = [None] * len(flat)
+    square = M
+    for j in range(max(flat, default=0).bit_length()):
+        if j:
+            square = square @ square
+        for i, k in enumerate(flat):
+            if k >> j & 1:
+                mats[i] = (square if mats[i] is None else square @ M if k == 3
+                           else mats[i] @ square)
+    powers = np.array([m.T @ eps for m in mats]).reshape(np.shape(ks) + (group.dim,))
     _require_finite(powers, "functional coefficient")
     return powers
 
@@ -324,16 +337,23 @@ def _null_space(matrix):
 
 
 def _cesaro_spectral(T):
-    """Riesz projection of T onto eigenvalue 1 (semisimple by norm one)."""
-    D = T.shape[0]
-    eye = np.eye(D)
-    V = _null_space(T - eye)
-    W = _null_space(T.conj().T - eye)
+    """Riesz projection of T onto eigenvalue 1 (semisimple by norm one).
+
+    One SVD call over the stack of T - I and T* - I gives both null spaces.
+    """
+    eye = np.eye(T.shape[0])
+    _, sing, vh = np.linalg.svd(np.stack([T - eye, T.conj().T - eye]))
+    V, W = (v[s <= KERNEL_TOL].conj().T for s, v in zip(sing, vh))
     if V.shape[1] == 0 or V.shape[1] != W.shape[1]:
-        raise NumericError("eigenvalue 1 eigenspaces are inconsistent")
+        near = sing.flat[np.abs(sing - KERNEL_TOL).argmin()]
+        raise NumericError(
+            f"eigenvalue 1 eigenspaces are inconsistent: kernels of T - I and T* - I have "
+            f"dimensions {V.shape[1]} and {W.shape[1]}; the singular value nearest the "
+            f"{KERNEL_TOL:.0e} gate is {near:.1e}")
     gram = W.conj().T @ V
-    if np.linalg.cond(gram) > SEMISIMPLE_COND_MAX:
-        raise NumericError("eigenvalue 1 of the stochastic operator is not semisimple")
+    if (cond := np.linalg.cond(gram)) > SEMISIMPLE_COND_MAX:
+        raise NumericError("eigenvalue 1 of the stochastic operator is not semisimple: "
+                           f"Gram condition number {cond:.1e} above {SEMISIMPLE_COND_MAX:.0e}")
     return V @ np.linalg.solve(gram, W.conj().T)
 
 
@@ -374,7 +394,7 @@ def cesaro_limit(group, T, power=1):
       only make p smaller, never the unit.
     - p < 1 on a group with a census (:meth:`FiniteQuantumGroup.census`):
       q / h(q) for the least census projection q that the walk lives on,
-      which must be p (:func:`_census_state`).
+      which must be p (:func:`_census_state`, :func:`_census_index`).
     - p < 1 on a group without one: powers of the averaged operator
       (I + T)/2, and the limit is verified idempotent, with density p / h(p)
       for a group-like p (:func:`idempotent_support`).
@@ -384,11 +404,15 @@ def cesaro_limit(group, T, power=1):
     """
     eps = group.counit.coeffs
     c_spec = _cesaro_spectral(T).T @ eps
-    limit = WalkState.from_functional_coeffs(group, c_spec, check=True, label="cesaro limit")
+    try:
+        limit = WalkState.from_functional_coeffs(group, c_spec, check=True, label="cesaro limit")
+    except DomainError as exc:
+        raise DomainError(f"{exc}: the spectral Cesaro limit fails the state check") from exc
     support = support_projection(limit)
     if (support - group.unit).norm_inf() <= PROJECTION_EQ_TOL:
-        if np.abs(c_spec - group.haar.coeffs).max() > AGREEMENT_TOL:
-            raise NumericError("spectral Cesaro limit of support 1 is not the Haar state")
+        if (gap := np.abs(c_spec - group.haar.coeffs).max()) > AGREEMENT_TOL:
+            raise NumericError("spectral Cesaro limit of support 1 is not the Haar state: "
+                               f"distance {gap:.1e} above the {AGREEMENT_TOL:.0e} gate")
         return limit, support
     census = group.census()
     if census is not None:
@@ -409,15 +433,27 @@ def cesaro_limit(group, T, power=1):
 def _census_state(group, census, T, power, support):
     """The functional of q / h(q) for the least census projection q the walk lives on.
 
+    q is :func:`_census_index`'s; NumericError is raised also when q is not
+    the spectral support.
+    """
+    projections, _, states = census
+    least = _census_index(group, census, T, power)
+    if norms_inf(group.structure, support.coords() - projections[least]) > PROJECTION_EQ_TOL:
+        raise NumericError("spectral Cesaro support is not its census projection")
+    return states[least]
+
+
+def _census_index(group, census, T, power):
+    """Row of the least census projection q the walk lives on.
+
     T is the operator of nu^(*k), k = ``power``.  The walk lives on q when
     the mass it leaves outside, 1 - (eps T)(q), is at most the roundoff
     bound c k D eps (c = ``CENSUS_MASS_FACTOR``, eps the machine epsilon).
     NumericError is raised when a mass lies between that bound and
-    ``PROJECTION_EQ_TOL``, too close to tell, when the projections of least
-    Haar mass that carry the walk are not one, and when that one is not the
-    spectral support.
+    ``PROJECTION_EQ_TOL``, too close to tell, and when the projections of
+    least Haar mass that carry the walk are not one.
     """
-    projections, masses, states = census
+    projections, masses, _ = census
     bound = CENSUS_MASS_FACTOR * power * group.dim * np.finfo(float).eps
     outside = 1.0 - (projections @ (T.T @ group.counit.coeffs)).real
     unclear = (outside > bound) & (outside <= PROJECTION_EQ_TOL)
@@ -429,9 +465,7 @@ def _census_state(group, census, T, power, support):
     least = carried[masses[carried] - masses[carried].min(initial=np.inf) <= PROJECTION_EQ_TOL]
     if len(least) != 1:
         raise NumericError(f"{len(least)} census projections of least Haar mass carry the walk")
-    if norms_inf(group.structure, support.coords() - projections[least[0]]) > PROJECTION_EQ_TOL:
-        raise NumericError("spectral Cesaro support is not its census projection")
-    return states[least[0]]
+    return least[0]
 
 
 def idempotent_support(phi):

@@ -440,6 +440,17 @@ def test_function_algebra_build_peaks_near_what_the_entry_holds():
     assert peak <= 1.5 * held
 
 
+def test_census_build_peaks_a_few_times_the_stored_delta():
+    # F(S4) stacks 30 candidates at D = 24; gated in one call, with (30, 24, 24) defect
+    # intermediates, the census peaked at 5.1 times the stored Delta, and gated 7 rows
+    # at a time at 2.7 times
+    group = function_algebra(symmetric_group(4))
+    function_algebra(symmetric_group(4)).census()  # lazy imports are cached before tracing
+    census, peak, _ = _traced_peak(group.census)
+    assert len(census[0]) == 30
+    assert peak <= 3 * group.comul_kron.nbytes
+
+
 def test_a_writable_structure_map_is_copied(f_s3):
     # a caller's writable array may change later, so the quantum group keeps its own copy
     comul = np.array(f_s3.comul_kron)

@@ -39,6 +39,7 @@ from qergodic.groups import (
 )
 from qergodic.walks import (
     NumericError,
+    _census_index,
     _power_coeffs,
     _tv_to_haar,
     cesaro_limit,
@@ -172,10 +173,16 @@ def test_cyclic_partition_classical_parity(f_s3, s3):
 def _cyclic_partition_by_element(nu, d):
     # the element-by-element transcription the stacked checks replaced, ending with
     # the T^d(p_1) = p_1 check that classify made after it; p_0 comes as the library
-    # takes it, from the Cesaro limit of T^d
+    # takes it, the census projection that carries eps T^d, or where no census runs
+    # the support of the Cesaro limit of T^d
     group = nu.group
     T = stochastic_operator(nu)
-    _, p0 = cesaro_limit(group, np.linalg.matrix_power(T, d))
+    Td = np.linalg.matrix_power(T, d)
+    census = group.census()
+    if census is None:
+        _, p0 = cesaro_limit(group, Td, power=d)
+    else:
+        p0 = group.structure.from_coords(census[0][_census_index(group, census, Td, d)])
 
     def clean(raw):
         out = group.structure.zero()
@@ -211,7 +218,6 @@ def _cyclic_partition_by_element(nu, d):
     if not group.is_group_like_projection(p0):
         raise ClassificationError("p_0 is not group-like")
     p1 = projections[1]
-    Td = np.linalg.matrix_power(T, d)
     if (group.structure.from_coords(Td @ p1.coords()) - p1).norm_inf() > PROJECTION_EQ_TOL:
         raise ClassificationError("T^d does not fix p_1")
     return projections
@@ -239,6 +245,69 @@ def test_stacked_cyclic_partition_matches_element_by_element(f_s3, f_c4, perm_st
             assert np.abs(ours - p0.coords()).max() <= moved
         else:
             assert ours.tobytes() == p0.coords().tobytes()
+
+
+def test_a_census_without_p0_refuses_the_periodic_walk():
+    # p_0 comes from the held census, and the partition's checks certify it: with the
+    # projection of the even residues deleted, the lookup picks the unit, which fails them
+    group = function_algebra(cyclic_group(6))
+    nu = classical_state(group, ("weights", {1: 0.5, 3: 0.5}))
+    assert classify(nu).tag == "periodic"
+    projections, masses, states = group.census()
+    even = np.flatnonzero(np.abs(projections - np.tile([1, 0], 3)).max(1) == 0)
+    assert len(even) == 1
+    keep = np.arange(len(projections)) != even[0]
+    group._census = projections[keep], masses[keep], states[keep]
+    with pytest.raises(ClassificationError):
+        classify(nu)
+
+
+def test_a_periodic_walk_without_a_census_takes_p0_from_the_cesaro_limit(monkeypatch):
+    # C[C96] has no census (96 characters > 64): p_0 is the support of the Cesaro limit
+    # of T^d; the walk is the dual of F(C96) {1: 0.5, 3: 0.5}, of period 2
+    from qergodic import ergodicity
+
+    powers = []
+    limit = ergodicity.cesaro_limit
+    monkeypatch.setattr(ergodicity, "cesaro_limit", lambda group, T, power=1:
+                        powers.append(power) or limit(group, T, power=power))
+    omega = np.exp(2j * np.pi / 96)
+    group = group_algebra(cyclic_group(96))
+    nu = dual_state_from_values(group, [0.5 * omega ** k + 0.5 * omega ** (3 * k)
+                                        for k in range(96)])
+    verdict = classify(nu)
+    assert group.census() is None
+    assert verdict.tag == "periodic" and verdict.partition.period == 2
+    assert powers == [1, 2]
+    # p_0 is the sum of the minimal projections of the even characters
+    p0 = verdict.partition.projections[0].coords()
+    assert np.abs(p0 - np.tile([1, 0], 48)).max() <= PROJECTION_EQ_TOL
+
+
+def test_the_cyclic_chain_is_snapped_as_one_stack(monkeypatch, perm_state):
+    # the point mass at 1 on F(C16) has period 16: its 15 images T^j(p_0) are snapped by
+    # one stacked support call, where each was snapped after the one before
+    from qergodic import blocks, ergodicity
+
+    calls = []
+    for module, name in ((blocks, "eighs"), (ergodicity, "supports_of_positive"),
+                         (ergodicity, "cesaro_limit")):
+        monkeypatch.setattr(module, name, lambda *args, fn=getattr(module, name), name=name:
+                            calls.append(name) or fn(*args))
+    group = function_algebra(cyclic_group(16))
+    group.census()
+    nu = classical_state(group, ("point", 1))
+    calls.clear()
+    part = cyclic_partition(nu, stochastic_operator(nu), 16)
+    assert part.period == 16
+    assert calls == ["supports_of_positive", "eighs"]
+    # the 1x1 blocks take no eigh; C[S3]'s 2x2 block takes one, for its one stacked snap
+    perm_state.group.census()
+    eighs = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, fn=np.linalg.eigh:
+                        eighs.append(a.shape) or fn(a))
+    cyclic_partition(perm_state, stochastic_operator(perm_state), 2)
+    assert len(eighs) == 1
 
 
 @pytest.mark.parametrize("d", [3, 8])
@@ -335,13 +404,14 @@ def test_classify_builds_the_stochastic_operator_once(monkeypatch, f_s3, kp, two
     monkeypatch.setattr(ergodicity, "cyclic_partition",
                         counting("cyclic_partition", ergodicity.cyclic_partition))
     # each stage runs through its one public function, with the T that classify built;
-    # a periodic walk's partition takes its p_0 from the Cesaro limit of T^d, not from a second T
+    # a periodic walk's partition takes its p_0 from the census lookup on T^d, or where
+    # no census runs from the Cesaro limit of T^d, not from a second T
     for name, (nu, tag) in _tv_walks(f_s3, kp, twodim_state).items():
         calls.clear()
         assert classify(nu).tag == tag, name
         periodic = tag == "periodic"
         assert calls.count("stochastic_operator") == 1, name
-        assert calls.count("cesaro_limit") == 1 + periodic, name
+        assert calls.count("cesaro_limit") == 1 + (periodic and nu.group.census() is None), name
         assert calls.count("cyclic_partition") == periodic, name
         calls.clear()
         is_irreducible(nu)

@@ -368,17 +368,18 @@ def test_large_classical_census_is_subgroup_indicators():
 
 def test_census_gates_each_candidate_once(kp, monkeypatch):
     # the census stacks its 0/1 choices and the candidates Jennrich's method recovers,
-    # and gates the stack once; KP has ten 0/1 choices (two per subgroup of C2 x C2),
-    # and the only other defect rows are the polarization terms of its five rank-1
-    # choices, ten rows each
+    # and gates the stack once, in chunks of at most _GATE_BATCH entries of Delta(p):
+    # all 6 rows of F(S3) (D = 6) at once, the 30 of F(S4) (D = 24) 7 at a time; KP has
+    # ten 0/1 choices (two per subgroup of C2 x C2), and the only other defect rows are
+    # the polarization terms of its five rank-1 choices, ten rows each
     rows = []
     defect = FiniteQuantumGroup._group_like_defect_batch
     monkeypatch.setattr(FiniteQuantumGroup, "_group_like_defect_batch",
                         lambda self, coords: rows.append(len(coords)) or defect(self, coords))
-    for group, count in ((symmetric_group(3), 6), (symmetric_group(4), 30)):
+    for group, chunks in ((symmetric_group(3), [6]), (symmetric_group(4), [7, 7, 7, 7, 2])):
         rows.clear()
-        assert len(function_algebra(group).find_group_like_projections()) == count
-        assert rows == [count]
+        assert len(function_algebra(group).find_group_like_projections()) == sum(chunks)
+        assert rows == chunks
     rows.clear()
     found = kp.find_group_like_projections()
     rank_one = sum(abs(np.trace(p.blocks[4]) - 1.0) < 1e-12 for p in found)

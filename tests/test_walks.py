@@ -510,6 +510,57 @@ def test_cesaro_limit_of_periodic_dual_walk(dual_s3, perm_state, s3):
     assert (support2 - chi).norm_inf() < 1e-8
 
 
+@pytest.mark.parametrize("n, weights, error, message", [
+    (6, {2: 1 - 1e-8, 3: 1e-8}, NumericError,
+     "spectral Cesaro limit of support 1 is not the Haar state: "
+     "distance 1.9e-09 above the 1e-09 gate"),
+    (12, {4: 0.5 - 1e-8, 8: 0.5, 3: 1e-8}, DomainError,
+     "density is not normalized: the spectral Cesaro limit fails the state check"),
+])
+def test_spectral_cesaro_refusals_name_the_value_and_the_gate(n, weights, error, message):
+    # T has an eigenvalue about KERNEL_TOL from 1; both refusals once ended at the prefix
+    nu = classical_state(function_algebra(cyclic_group(n)), ("weights", weights))
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        classify(nu)
+
+
+@pytest.mark.parametrize("T, message", [
+    (0.5 * np.eye(3), "eigenvalue 1 eigenspaces are inconsistent: kernels of T - I and "
+     "T* - I have dimensions 0 and 0; the singular value nearest the 1e-08 gate is 5.0e-01"),
+    (np.array([[1.0, 1.0], [0.0, 1.0]]), "eigenvalue 1 of the stochastic operator is not "
+     "semisimple: Gram condition number inf above 1e+08"),
+])
+def test_spectral_cesaro_gates_name_the_value_and_the_gate(T, message):
+    with pytest.raises(NumericError, match=f"^{re.escape(message)}$"):
+        _cesaro_spectral(T)
+
+
+def test_spectral_cesaro_limit_is_that_of_one_svd_per_null_space(f_s3, dual_s3, kp, perm_state):
+    # the stacked SVD of T - I and T* - I gives bitwise the projection of two SVD calls
+    def two_calls(T):
+        eye = np.eye(len(T))
+        V, W = walks._null_space(T - eye), walks._null_space(T.conj().T - eye)
+        return V @ np.linalg.solve(W.conj().T @ V, W.conj().T)
+
+    rng = np.random.default_rng(5)
+    nus = [perm_state, classical_state(f_s3, ("uniform", ["e", "(123)"])),
+           kp_pure_state(kp, 2), *(random_state(g, rng) for g in (f_s3, dual_s3, kp))]
+    for nu in nus:
+        T = stochastic_operator(nu)
+        assert _cesaro_spectral(T).tobytes() == two_calls(T).tobytes()
+
+
+def test_power_rows_are_bitwise_those_of_matrix_power(kp):
+    # one squaring chain serves every k, in matrix_power's order of products
+    T = stochastic_operator(random_state(kp, np.random.default_rng(3)))
+    ks = [1, 2, 3, 4, 5, 6, 7, 8, 13, 64, 1000, 2 ** 50]
+    rows = walks._power_coeffs(kp, T, ks)
+    for k, row in zip(ks, rows):
+        assert row.tobytes() == (np.linalg.matrix_power(T, k).T @ kp.counit.coeffs).tobytes(), k
+    assert walks._power_coeffs(kp, T, 3).tobytes() == rows[2].tobytes()
+    assert walks._power_coeffs(kp, T, []).shape == (0, kp.dim)
+
+
 CENSUS_ENTRIES = {
     "F(C6)": lambda: function_algebra(cyclic_group(6)),
     "F(S3)": lambda: function_algebra(symmetric_group(3)),
