@@ -193,7 +193,7 @@ def cyclic_partition(nu, T, d):
     Td = np.linalg.matrix_power(T, d)  # the stochastic operator of nu^(*d)
     census = group.census()
     if census is None:
-        p0 = cesaro_limit(group, Td, power=d)[1].coords()
+        p0 = cesaro_limit(group, Td)[1].coords()
     else:
         p0 = census[0][_census_index(group, census, Td, d)]
     raw = _orbit(T, p0, d)[1:]  # row j - 1 is T^j(p_0)

@@ -237,24 +237,11 @@ def convolution_power(nu, k):
 def _power_coeffs(group, M, ks):
     """The functionals eps M^k, refused if not finite: nu^(*k) for M = T_nu.
 
-    ``ks`` is one k >= 1, giving a (D,) row, or a sequence, giving a
-    (len(ks), D) stack.  The squares M^(2^j) are formed once for all ks, and
-    each M^k multiplies them in ``np.linalg.matrix_power``'s order, so that
-    each row is bitwise the one it gives: (M M) M for k = 3, otherwise the
-    squares of k's set bits, from the lowest up.
+    ``ks`` is one k, giving a (D,) row, or a sequence, giving a (len(ks), D) stack.
     """
     eps = group.counit.coeffs
-    flat = [int(k) for k in np.ravel(ks)]
-    mats = [None] * len(flat)
-    square = M
-    for j in range(max(flat, default=0).bit_length()):
-        if j:
-            square = square @ square
-        for i, k in enumerate(flat):
-            if k >> j & 1:
-                mats[i] = (square if mats[i] is None else square @ M if k == 3
-                           else mats[i] @ square)
-    powers = np.array([m.T @ eps for m in mats]).reshape(np.shape(ks) + (group.dim,))
+    powers = np.array([np.linalg.matrix_power(M, k).T @ eps for k in np.ravel(ks)])
+    powers = powers.reshape(np.shape(ks) + (group.dim,))
     _require_finite(powers, "functional coefficient")
     return powers
 
@@ -337,14 +324,13 @@ def _null_space(matrix):
 
 
 def _cesaro_spectral(T):
-    """Riesz projection of T onto eigenvalue 1 (semisimple by norm one).
-
-    One SVD call over the stack of T - I and T* - I gives both null spaces.
-    """
-    eye = np.eye(T.shape[0])
-    _, sing, vh = np.linalg.svd(np.stack([T - eye, T.conj().T - eye]))
-    V, W = (v[s <= KERNEL_TOL].conj().T for s, v in zip(sing, vh))
+    """Riesz projection of T onto eigenvalue 1 (semisimple by norm one)."""
+    D = T.shape[0]
+    eye = np.eye(D)
+    V = _null_space(T - eye)
+    W = _null_space(T.conj().T - eye)
     if V.shape[1] == 0 or V.shape[1] != W.shape[1]:
+        sing = np.linalg.svd(np.stack([T - eye, T.conj().T - eye]), compute_uv=False)
         near = sing.flat[np.abs(sing - KERNEL_TOL).argmin()]
         raise NumericError(
             f"eigenvalue 1 eigenspaces are inconsistent: kernels of T - I and T* - I have "
@@ -383,7 +369,7 @@ def settled_power(M):
     )
 
 
-def cesaro_limit(group, T, power=1):
+def cesaro_limit(group, T):
     """Limit of (1/n) sum nu^(*k) and the support of the limit, for T = T_nu.
 
     The limit is the spectral projection of T onto eigenvalue 1, applied to
@@ -394,13 +380,11 @@ def cesaro_limit(group, T, power=1):
       only make p smaller, never the unit.
     - p < 1 on a group with a census (:meth:`FiniteQuantumGroup.census`):
       q / h(q) for the least census projection q that the walk lives on,
-      which must be p (:func:`_census_state`, :func:`_census_index`).
+      with the roundoff bound of k = 1, which must be p (:func:`_census_state`,
+      :func:`_census_index`).
     - p < 1 on a group without one: powers of the averaged operator
       (I + T)/2, and the limit is verified idempotent, with density p / h(p)
       for a group-like p (:func:`idempotent_support`).
-
-    ``power`` is k when T is T_nu^k, the operator of nu^(*k); the roundoff
-    the census route allows grows with it.
     """
     eps = group.counit.coeffs
     c_spec = _cesaro_spectral(T).T @ eps
@@ -416,7 +400,7 @@ def cesaro_limit(group, T, power=1):
         return limit, support
     census = group.census()
     if census is not None:
-        if np.abs(c_spec - _census_state(group, census, T, power, support)).max() > AGREEMENT_TOL:
+        if np.abs(c_spec - _census_state(group, census, T, support)).max() > AGREEMENT_TOL:
             raise NumericError("spectral Cesaro limit is not q / h(q) of its census projection")
         return limit, support
     # the spectrum of (I + T)/2 sits strictly inside the unit disc except at
@@ -430,14 +414,14 @@ def cesaro_limit(group, T, power=1):
     return limit, support
 
 
-def _census_state(group, census, T, power, support):
+def _census_state(group, census, T, support):
     """The functional of q / h(q) for the least census projection q the walk lives on.
 
     q is :func:`_census_index`'s; NumericError is raised also when q is not
     the spectral support.
     """
     projections, _, states = census
-    least = _census_index(group, census, T, power)
+    least = _census_index(group, census, T, 1)
     if norms_inf(group.structure, support.coords() - projections[least]) > PROJECTION_EQ_TOL:
         raise NumericError("spectral Cesaro support is not its census projection")
     return states[least]

@@ -535,32 +535,6 @@ def test_spectral_cesaro_gates_name_the_value_and_the_gate(T, message):
         _cesaro_spectral(T)
 
 
-def test_spectral_cesaro_limit_is_that_of_one_svd_per_null_space(f_s3, dual_s3, kp, perm_state):
-    # the stacked SVD of T - I and T* - I gives bitwise the projection of two SVD calls
-    def two_calls(T):
-        eye = np.eye(len(T))
-        V, W = walks._null_space(T - eye), walks._null_space(T.conj().T - eye)
-        return V @ np.linalg.solve(W.conj().T @ V, W.conj().T)
-
-    rng = np.random.default_rng(5)
-    nus = [perm_state, classical_state(f_s3, ("uniform", ["e", "(123)"])),
-           kp_pure_state(kp, 2), *(random_state(g, rng) for g in (f_s3, dual_s3, kp))]
-    for nu in nus:
-        T = stochastic_operator(nu)
-        assert _cesaro_spectral(T).tobytes() == two_calls(T).tobytes()
-
-
-def test_power_rows_are_bitwise_those_of_matrix_power(kp):
-    # one squaring chain serves every k, in matrix_power's order of products
-    T = stochastic_operator(random_state(kp, np.random.default_rng(3)))
-    ks = [1, 2, 3, 4, 5, 6, 7, 8, 13, 64, 1000, 2 ** 50]
-    rows = walks._power_coeffs(kp, T, ks)
-    for k, row in zip(ks, rows):
-        assert row.tobytes() == (np.linalg.matrix_power(T, k).T @ kp.counit.coeffs).tobytes(), k
-    assert walks._power_coeffs(kp, T, 3).tobytes() == rows[2].tobytes()
-    assert walks._power_coeffs(kp, T, []).shape == (0, kp.dim)
-
-
 CENSUS_ENTRIES = {
     "F(C6)": lambda: function_algebra(cyclic_group(6)),
     "F(S3)": lambda: function_algebra(symmetric_group(3)),
