@@ -43,7 +43,7 @@ from .tolerances import (
 )
 
 _HAAR_BATCH = 16384  # entries per block of rows of the Haar system: 256 KiB of complex
-_GATE_BATCH = 4096  # entries of Delta(p) per chunk of the group-like gate: 64 KiB of complex
+_GATE_BATCH = 4096  # entries per chunk of the group-like gate and the character table: 64 KiB
 
 # coordinates of a rank-1 2x2 projection 0.5 (1 + n . sigma): the constant term,
 # then the coefficients of n_x, n_y and n_z
@@ -215,13 +215,21 @@ class FiniteQuantumGroup:
         Element k evaluates at, and is named by, coordinate o_k of
         _character_coords(), so element 0 is the counit.  Row (o_a, o_b) of
         ``comul_kron`` must be the evaluation at some o_c, and then a * b = c.
+        The rows are read at most ``_GATE_BATCH`` entries at a time, so the
+        table costs memory of the order of one chunk, not of Delta.
         """
         coords = self._character_coords()
-        rows = self.comul_kron[(coords[:, None] * self.dim + coords).reshape(-1)]
-        table = np.abs(rows[:, coords]).argmax(axis=1)
-        rows[np.arange(len(rows)), coords[table]] -= 1.0  # each row less its evaluation
-        if np.abs(rows).max() > STRUCTURE_TOL:
-            raise StructuralError("a product of characters is not a character")
+        pairs = (coords[:, None] * self.dim + coords).reshape(-1)
+        chunk = max(1, _GATE_BATCH // self.dim)
+        table_chunks = []
+        for first in range(0, len(pairs), chunk):
+            rows = self.comul_kron[pairs[first:first + chunk]]
+            hits = np.abs(rows[:, coords]).argmax(axis=1)
+            rows[np.arange(len(rows)), coords[hits]] -= 1.0  # each row less its evaluation
+            if np.abs(rows).max() > STRUCTURE_TOL:
+                raise StructuralError("a product of characters is not a character")
+            table_chunks.append(hits)
+        table = np.concatenate(table_chunks)
         try:
             return FiniteGroup(map(str, coords), table.reshape(len(coords), -1),
                                label=f"characters of {self.label}")

@@ -194,11 +194,19 @@ def eigenvalues(T):
 
 
 def _orbit(M, x, n):
-    """The (n, D) stack x, Mx, ..., M^(n-1) x, one matrix-vector product per row."""
+    """The (n, D) stack x, Mx, ..., M^(n-1) x, one matrix-vector product per row.
+
+    M is complex: a stochastic operator or its transpose view.  Its ``dot``
+    is bound once, and each step writes into the next preallocated row.
+    That is the zgemv call ``np.matmul(M, prev, out=row)`` makes, so every
+    row is bitwise the matmul loop's, without the ufunc dispatch that cost
+    about 1 us a step at D <= 32, more than the product itself.
+    """
     rows = np.empty((n, len(x)), dtype=complex)
     rows[0] = x
-    for j in range(1, n):
-        np.matmul(M, rows[j - 1], out=rows[j])
+    dot = M.dot
+    for prev, row in zip(rows, rows[1:]):
+        dot(prev, out=row)
     return rows
 
 
@@ -278,8 +286,10 @@ def distances_to_random(nu, kmax):
     ``_TRACE_BATCH`` coordinates, so memory does not grow with kmax.  Each
     chunk turns into densities minus the unit at once, and all three
     distances of all its steps come from one SVD per block size over the
-    whole stack (see ``lp_norms``).  For checked states the TV and QSD columns
-    are verified non-increasing (within ``MONOTONE_SLACK``), as the theory requires.
+    whole stack (see ``lp_norms``).  A chunk whose functionals overflow is
+    refused with DomainError, as :func:`_power_coeffs` refuses a power.  For
+    checked states the TV and QSD columns are verified non-increasing (within
+    ``MONOTONE_SLACK``), as the theory requires.
     """
     _require_integer("kmax", kmax)
     if kmax < 1:
@@ -295,6 +305,7 @@ def distances_to_random(nu, kmax):
     for first in range(1, kmax + 1, chunk):
         orbit = _orbit(step, coeffs, min(chunk, kmax + 1 - first) + 1)
         stack, coeffs = orbit[:-1], orbit[-1]
+        _require_finite(stack, "functional coefficient")
         l1, l2, qsd = lp_norms(st, densities_from_functionals(group, stack) - unit,
                                group.haar_weights)
         tv = 0.5 * l1

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import qergodic
-
+from qergodic import hopf
 from qergodic.blocks import (
     BlockStructure,
     DomainError,
@@ -425,10 +425,18 @@ def element_orders(group):
     return orders
 
 
-def test_character_group_of_a_function_algebra_is_the_group(s3):
+# the table reads the rows of Delta for the pairs of characters in chunks of at most
+# hopf._GATE_BATCH entries; one and five rows a chunk put a chunk edge everywhere
+ROWS_PER_CHUNK = (None, 1, 5)
+
+
+def test_character_group_of_a_function_algebra_is_the_group(s3, monkeypatch):
     for group in (s3, dihedral_group(4), quaternion_group()):
-        chars = function_algebra(group).character_group()
-        assert np.array_equal(chars.cayley, group.cayley)
+        qg = function_algebra(group)
+        for rows in ROWS_PER_CHUNK:
+            if rows is not None:
+                monkeypatch.setattr(hopf, "_GATE_BATCH", rows * qg.dim)
+            assert np.array_equal(qg.character_group().cayley, group.cayley)
 
 
 def test_character_group_of_duals_and_kp(dual_s3, kp):
@@ -438,13 +446,14 @@ def test_character_group_of_duals_and_kp(dual_s3, kp):
     assert max(element_orders(group_algebra(cyclic_group(6)).character_group())) == 6
 
 
-def test_character_group_rejects_broken_comultiplication(f_c4):
+def test_character_group_rejects_broken_comultiplication(f_c4, monkeypatch):
     D = f_c4.dim
     swapped = f_c4.comul_kron.copy()
     swapped[[1 * D + 2, 1 * D + 3]] = swapped[[1 * D + 3, 1 * D + 2]]
     perturbed = f_c4.comul_kron.copy()
     perturbed[1 * D + 2, 0] += 1e-3
-    for kron in (swapped, perturbed):
+    for kron, message in ((swapped, "characters do not form a group: Cayley table is not a Latin"),
+                          (perturbed, "a product of characters is not a character$")):
         broken = FiniteQuantumGroup(
             f_c4.structure,
             kron,
@@ -452,8 +461,11 @@ def test_character_group_rejects_broken_comultiplication(f_c4):
             f_c4.antipode,
             validate=False,
         )
-        with pytest.raises(StructuralError):
-            broken.character_group()
+        for rows in ROWS_PER_CHUNK:
+            if rows is not None:
+                monkeypatch.setattr(hopf, "_GATE_BATCH", rows * D)
+            with pytest.raises(StructuralError, match=f"^{message}"):
+                broken.character_group()
 
 
 def test_group_like_search_rejects_large_blocks():

@@ -4,17 +4,28 @@
 takes the norms of a whole chunk from one SVD per block size.  The oracle
 below is the per-step loop: one density, one subtraction and one single-row
 ``lp_norms`` call per k.  Rows must agree exactly, so batching changes no
-printed digit of a trace.
+printed digit of a trace.  The orbit under the stepping must be bitwise the
+``np.matmul`` loop it replaced, and a walk on C_n must give the trace of its
+Pontryagin dual on C[C_n].
 """
+
+import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qergodic import walks
-from qergodic.blocks import BlockStructure, lp_norms, random_element
-from qergodic.catalog import dual_state_from_values, function_algebra
+from qergodic.blocks import BlockStructure, DomainError, lp_norms, random_element
+from qergodic.catalog import (
+    classical_state,
+    dual_state_from_values,
+    function_algebra,
+    group_algebra,
+)
 from qergodic.groups import cyclic_group, s3_standard_integral
-from qergodic.walks import NumericError, distances_to_random, random_state
+from qergodic.walks import NumericError, WalkState, distances_to_random, random_state
 
 
 def reference_trace(nu, kmax):
@@ -127,3 +138,74 @@ def test_one_svd_per_chunk(kp, monkeypatch):
     monkeypatch.setattr(walks, "_TRACE_BATCH", 30 * kp.dim)
     distances_to_random(nu, 100)
     assert calls == [(30, 1, 2, 2)] * 3 + [(10, 1, 2, 2)]
+
+
+def matmul_orbit(M, x, n):
+    """The orbit as one ``np.matmul`` ufunc call per step, the loop ``_orbit`` replaced."""
+    rows = np.empty((n, len(x)), dtype=complex)
+    rows[0] = x
+    for j in range(1, n):
+        np.matmul(M, rows[j - 1], out=rows[j])
+    return rows
+
+
+@pytest.mark.parametrize("name", ["F(C48)", "C[S3]", "KP", "two-dim"])
+@pytest.mark.parametrize("n", [1, 2, 3, 101])
+def test_orbit_is_bitwise_the_matmul_loop(trace_walks, name, n):
+    nu = trace_walks[name]
+    T = walks.stochastic_operator(nu)
+    x = nu.functional.coeffs
+    # the C-order operator, as cyclic_partition passes it, and its transpose view,
+    # as distances_to_random, is_irreducible and experiment pass it
+    for M in (T, T.T):
+        rows = walks._orbit(M, x, n)
+        assert rows.shape == (n, len(x)) and rows.flags.c_contiguous
+        assert rows.tobytes() == matmul_orbit(M, x, n).tobytes()
+
+
+@functools.cache
+def cyclic_pair(n):
+    """F(C_n) and C[C_n], built once per n."""
+    return function_algebra(cyclic_group(n)), group_algebra(cyclic_group(n))
+
+
+@st.composite
+def cyclic_measures(draw):
+    """A probability vector on C_n, n = 4..16; zero weights and point masses included."""
+    n = draw(st.integers(4, 16))
+    weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    if weights.sum() < 1e-3:
+        weights[draw(st.integers(0, n - 1))] = 1.0
+    return weights / weights.sum()
+
+
+@settings(max_examples=60, deadline=None)
+@given(cyclic_measures())
+def test_trace_of_a_cyclic_walk_is_the_trace_of_its_pontryagin_dual(mu):
+    # C[C_n] is F of the dual group, and j -> (k -> w^(jk)) identifies it with C_n,
+    # so mu and u(k) = sum_j mu(j) w^(jk) are one walk up to a Hopf *-isomorphism,
+    # and every distance to the Haar state is the same.  The two routes round apart
+    # by about k n eps times the distance, and a point mass has QSD n - 1, so the
+    # bound is relative to distances above 1
+    n = len(mu)
+    f_cn, c_cn = cyclic_pair(n)
+    nu = classical_state(f_cn, ("weights", dict(enumerate(mu.tolist()))))
+    u = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) @ mu
+    dual = dual_state_from_values(c_cn, u)
+    rows, dual_rows = distances_to_random(nu, 60), distances_to_random(dual, 60)
+    assert [r[0] for r in rows] == [r[0] for r in dual_rows] == list(range(1, 61))
+    rows, dual_rows = np.array(rows), np.array(dual_rows)
+    assert (np.abs(rows - dual_rows) <= 1e-12 * np.maximum(1.0, np.abs(rows))).all()
+
+
+def test_a_trace_that_overflows_is_refused(f_c4, dual_s3):
+    # a formal functional of size 1e200: its second step overflows to inf and NaN,
+    # which on 1x1 blocks gave NaN rows and on a 2x2 block an SVD that did not converge
+    one_by_one = WalkState.from_functional_coeffs(f_c4, np.array([1e200, 1e200, 0, 0]),
+                                                  check=False)
+    two_by_two = dual_state_from_values(dual_s3, [1e200] * 6, check=False)
+    for nu in (one_by_one, two_by_two):
+        with np.errstate(all="ignore"):
+            with pytest.raises(DomainError, match="^functional coefficient 0 of row 1 is not finite"):
+                distances_to_random(nu, 10)
+            assert len(distances_to_random(nu, 1)) == 1  # the step before the overflow is finite
