@@ -67,12 +67,21 @@ def _require_integer(what, value):
         raise ValueError(f"{what} {value!r} is not an integer")
 
 
-def _require_finite(values, what):
-    """DomainError naming the first non-finite entry of a (D,) or (N, D) stack."""
+def _require_finite(values, what, first_step=None):
+    """DomainError naming the first non-finite entry of a (D,) or (N, D) stack.
+
+    A stack's rows are named by index, or as steps ``first_step``,
+    ``first_step + 1``, ... when it is given.
+    """
     finite = np.isfinite(values)
     if np.count_nonzero(finite) < finite.size:
         *row, k = np.argwhere(~finite)[0].tolist()
-        where = f" of row {row[0]}" if row else ""
+        if not row:
+            where = ""
+        elif first_step is None:
+            where = f" of row {row[0]}"
+        else:
+            where = f" of step {first_step + row[0]}"
         raise DomainError(f"{what} {k}{where} is not finite: {values[(*row, k)]}")
 
 
@@ -287,7 +296,8 @@ def distances_to_random(nu, kmax):
     chunk turns into densities minus the unit at once, and all three
     distances of all its steps come from one SVD per block size over the
     whole stack (see ``lp_norms``).  A chunk whose functionals overflow is
-    refused with DomainError, as :func:`_power_coeffs` refuses a power.  For
+    refused with DomainError naming the step, as :func:`_power_coeffs`
+    refuses a power.  For
     checked states the TV and QSD columns are verified non-increasing (within
     ``MONOTONE_SLACK``), as the theory requires.
     """
@@ -305,7 +315,7 @@ def distances_to_random(nu, kmax):
     for first in range(1, kmax + 1, chunk):
         orbit = _orbit(step, coeffs, min(chunk, kmax + 1 - first) + 1)
         stack, coeffs = orbit[:-1], orbit[-1]
-        _require_finite(stack, "functional coefficient")
+        _require_finite(stack, "functional coefficient", first_step=first)
         l1, l2, qsd = lp_norms(st, densities_from_functionals(group, stack) - unit,
                                group.haar_weights)
         tv = 0.5 * l1

@@ -198,14 +198,22 @@ def test_trace_of_a_cyclic_walk_is_the_trace_of_its_pontryagin_dual(mu):
     assert (np.abs(rows - dual_rows) <= 1e-12 * np.maximum(1.0, np.abs(rows))).all()
 
 
-def test_a_trace_that_overflows_is_refused(f_c4, dual_s3):
-    # a formal functional of size 1e200: its second step overflows to inf and NaN,
-    # which on 1x1 blocks gave NaN rows and on a 2x2 block an SVD that did not converge
-    one_by_one = WalkState.from_functional_coeffs(f_c4, np.array([1e200, 1e200, 0, 0]),
+@pytest.mark.parametrize("size, step", [(1e200, 2), (1e40, 8)])
+@pytest.mark.parametrize("steps", [None, 1, 3])
+def test_a_trace_that_overflows_is_refused(f_c4, dual_s3, monkeypatch, size, step, steps):
+    # a formal functional of size 1e200 overflows to inf and NaN at its second step
+    # (1e40 at its eighth), which on 1x1 blocks gave NaN rows and on a 2x2 block an
+    # SVD that did not converge; chunks of one or three steps put the overflow past
+    # the first chunk, and the refusal must still name the step, not the chunk's row
+    one_by_one = WalkState.from_functional_coeffs(f_c4, np.array([size, size, 0, 0]),
                                                   check=False)
-    two_by_two = dual_state_from_values(dual_s3, [1e200] * 6, check=False)
+    two_by_two = dual_state_from_values(dual_s3, [size] * 6, check=False)
     for nu in (one_by_one, two_by_two):
+        if steps is not None:
+            monkeypatch.setattr(walks, "_TRACE_BATCH", steps * nu.group.dim)
         with np.errstate(all="ignore"):
-            with pytest.raises(DomainError, match="^functional coefficient 0 of row 1 is not finite"):
+            with pytest.raises(DomainError,
+                               match=f"^functional coefficient 0 of step {step} is not finite"):
                 distances_to_random(nu, 10)
-            assert len(distances_to_random(nu, 1)) == 1  # the step before the overflow is finite
+            # the steps before the overflow are finite
+            assert len(distances_to_random(nu, step - 1)) == step - 1

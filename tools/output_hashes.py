@@ -1,13 +1,13 @@
 """One SHA-256 line per benchmark operation, to show that a change keeps every output bitwise.
 
-    python3 tools/output_hashes.py [--src DIR] [--workload W ...] [--seed N ...]
+    python3 tools/output_hashes.py [--src DIR]
 
-The operations are those of ``perfbench``: its corpus and workload code build
-the walks, configs and calls, and this script only runs them, once each, and
-hashes what they give.  ``--src`` is the library tree to import ``qergodic``
-from (default: this checkout's ``src``), so the same corpus code can be run
-against two trees and the two outputs compared line by line, for example with
-``diff``.  Each line reads ``<workload> <seed> <op id> <entry> <kind> <sha256>``.
+The operations are those of ``perfbench``'s three workloads at seeds 1, 3, 7
+and 11: its corpus and workload code build the walks, configs and calls, and
+this script only runs them, once each, and hashes what they give.  ``--src``
+is the library tree to import ``qergodic`` from (default: this checkout's
+``src``), so the same corpus code can be run against two trees and the two
+outputs compared line by line, for example with ``diff``.  Each line reads ``<workload> <seed> <op id> <entry> <kind> <sha256>``.
 
 A hash covers every float as its hex form, every array as its dtype, shape and
 bytes, every field of a verdict, the bytes of the file a CLI call writes, and
@@ -97,8 +97,6 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--src", default=os.path.join(ROOT, "src"),
                         help="library tree to import qergodic from (default: this checkout's src)")
-    parser.add_argument("--workload", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
-    parser.add_argument("--seed", nargs="+", type=int, default=list(SEEDS))
     args = parser.parse_args(argv)
 
     src = os.path.abspath(args.src)
@@ -107,8 +105,8 @@ def main(argv=None):
 
     if not os.path.abspath(qergodic.__file__).startswith(src + os.sep):
         parser.error(f"qergodic was imported from {qergodic.__file__}, not from {src}")
-    for workload in args.workload:
-        for seed in args.seed:
+    for workload in WORKLOADS:
+        for seed in SEEDS:
             print("\n".join(hash_lines(workload, seed)), flush=True)
     return 0
 
